@@ -1,7 +1,13 @@
-"""End-to-end LP decoding under either formulation, plus exhaustive ML oracles."""
+"""End-to-end LP decoding under either formulation, plus exhaustive ML oracles.
+
+A code's decoding LP differs from decode to decode only in its costs, so each
+(code, formulation) constraint system is compiled once per process, kept in a
+bounded cache, and shared by every decode of that code.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -11,10 +17,11 @@ import numpy as np
 from . import lpsolver
 from .channel import CostVector
 from .codes import ParityCheckMatrix
-from .relaxation import decompose, decomposed_system, feldman_system
+from .relaxation import ConstraintSystem, decompose, decomposed_system, feldman_system
 
 INTEGRALITY_TOL = 1e-6
 ML_ENUM_LIMIT = 28
+COMPILED_CACHE_SIZE = 32  # (code, formulation) systems kept per process
 
 FORMULATIONS = ("feldman", "decomposed")
 
@@ -55,21 +62,31 @@ def is_codeword(H: ParityCheckMatrix, bits) -> bool:
     return all(s == 0 for s in syndrome(H, bits))
 
 
+@functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
+def _compiled_system(H: ParityCheckMatrix, formulation: str) -> tuple[ConstraintSystem, int]:
+    """The decoding constraint system of (H, formulation) and its auxiliary count.
+
+    The system depends only on the code, never on the costs, so it is built
+    once per process and shared by every decode; its dense arrays are
+    computed on the first solve and reused after that.  Callers must not
+    modify the returned system.
+    """
+    if formulation == "feldman":
+        return feldman_system(H, include_boxes=False), 0
+    D = decompose(H, strict=False)
+    return decomposed_system(D, H.n, cover_boxes=False), D.aux_count
+
+
 def build_program(H: ParityCheckMatrix, gamma: CostVector,
                   formulation: str) -> lpsolver.LinearProgram:
-    """Assemble the LP for the chosen formulation; auxiliary costs are 0."""
+    """Attach the costs to the code's compiled system; auxiliary costs are 0."""
     if formulation not in FORMULATIONS:
         raise DecodeError(f"unknown formulation {formulation!r}")
     if len(gamma) != H.n:
         raise DecodeError(f"cost length {len(gamma)} != n {H.n}")
-    if formulation == "feldman":
-        cs = feldman_system(H, include_boxes=False)
-        c = list(gamma.gammas)
-    else:
-        D = decompose(H, strict=False)
-        cs = decomposed_system(D, H.n, cover_boxes=False)
-        c = list(gamma.gammas) + [0.0] * D.aux_count
-    return lpsolver.LinearProgram(objective=c, constraints=cs)
+    cs, aux_count = _compiled_system(H, formulation)
+    return lpsolver.LinearProgram(objective=list(gamma.gammas) + [0.0] * aux_count,
+                                  constraints=cs)
 
 
 def decode(H: ParityCheckMatrix, gamma: CostVector,

@@ -14,6 +14,10 @@ Entering columns are priced by steepest edge over the most negative reduced
 costs, with a fallback to Bland's rule after a run of pivots that make no
 progress, so cycling cannot occur.  Remaining ties break by lowest index, so
 the result is deterministic.
+
+The constraint matrix comes from `ConstraintSystem.arrays`, which the system
+computes once and shares read-only with every solve of it; `solve` copies it
+into its own tableau and never writes it.
 """
 
 from __future__ import annotations
@@ -200,11 +204,10 @@ def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
     lo = np.array([b[0] for b in bounds], dtype=float)
     up = np.array([b[1] for b in bounds], dtype=float)
 
-    A_list, b_list = cs.dense()
-    m = len(cs.rows)
-    A = np.asarray(A_list, dtype=float).reshape(m, n)
+    A, b = cs.arrays  # shared and read-only; T below is the only copy written
+    m = A.shape[0]
     # shift x = x' + lo so that 0 <= x' <= up - lo; each row gets a slack s >= 0
-    b = np.asarray(b_list, dtype=float) - A @ lo
+    b = b - A @ lo
     offset = float(c @ lo)
 
     # rows with negative rhs are negated so the tableau rhs is nonnegative;
@@ -213,7 +216,6 @@ def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
     # [0, n), slack [n, n+m), artificial [n+m, n+m+n_art).
     neg = np.nonzero(b < 0)[0]
     n_art = neg.size
-    A[neg] *= -1.0
     b[neg] *= -1.0
     art = n + m
     upper = np.concatenate([up - lo, np.full(m + n_art, np.inf)])
@@ -223,6 +225,7 @@ def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
     nonbasic = np.concatenate([np.arange(n), n + neg])
     T = np.zeros((m + 1, n + n_art + 1), order="F")
     T[:m, :n] = A
+    T[neg, :n] *= -1.0
     T[neg, n + np.arange(n_art)] = -1.0
     T[:m, -1] = b
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
+
+import numpy as np
 
 from .codes import DegreeProfile, ParityCheckMatrix
 
@@ -30,7 +32,7 @@ class DegreeTooLowError(RelaxationError):
     """Check degree below 3 in strict mode."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     """One inequality sum_i coeffs[i] * x_i <= rhs; coefficients are exact ints."""
 
@@ -45,17 +47,25 @@ class ConstraintSystem:
     var_names: list[str]
     box_rows_included: bool = False
 
-    def dense(self):
-        """Dense (A, b) as float lists, for solver / golden comparisons."""
-        A = []
-        b = []
-        for row in self.rows:
-            a = [0.0] * self.num_vars
-            for i, c in row.coeffs.items():
-                a[i] = float(c)
-            A.append(a)
-            b.append(float(row.rhs))
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense float64 (A, b), built on first use and shared by every later caller.
+
+        Both arrays are read-only, so a solver that shares them cannot write
+        them.  They are computed once, so the rows must not change afterwards.
+        """
+        A = np.zeros((len(self.rows), self.num_vars))
+        for r, row in enumerate(self.rows):
+            A[r, list(row.coeffs)] = list(row.coeffs.values())
+        b = np.array([row.rhs for row in self.rows], dtype=float)
+        A.flags.writeable = False
+        b.flags.writeable = False
         return A, b
+
+    def dense(self):
+        """Dense (A, b) as float lists, for golden comparisons."""
+        A, b = self.arrays
+        return A.tolist(), b.tolist()
 
     def to_text(self) -> str:
         lines = []
@@ -84,14 +94,16 @@ class DecompositionResult:
     """Chain decomposition of all checks into degree-3 triples.
 
     Auxiliary variables are appended after the n originals, check-major then
-    chain order.  ``passthrough`` holds (check index, support) for degree-1/2
-    checks kept undecomposed in lenient mode.
+    chain order.  ``provenance[k]`` is the index of the check that
+    ``checks3[k]`` came from; two checks may yield the same triple.
+    ``passthrough`` holds (check index, support) for degree-1/2 checks kept
+    undecomposed in lenient mode.
     """
 
     n_original: int
     extended_num_vars: int
     checks3: list[tuple[int, int, int]]
-    provenance: dict[tuple[int, int, int], int]
+    provenance: list[int]
     aux_count: int
     aux_names: list[str] = field(default_factory=list)
     passthrough: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
@@ -134,7 +146,7 @@ def feldman_rows_for_check(support) -> list[Row]:
         coeffs = base.copy()
         for p in positions:
             coeffs[support[p]] = 1
-        rows.append(Row(coeffs=coeffs, rhs=len(positions) - 1))
+        rows.append(Row(coeffs, len(positions) - 1))
     return rows
 
 
@@ -146,8 +158,8 @@ def box_rows(indices, upper: int = 1) -> list[Row]:
     """-x_i <= 0 and x_i <= upper for each index, in index order."""
     rows = []
     for i in indices:
-        rows.append(Row(coeffs={i: -1}, rhs=0))
-        rows.append(Row(coeffs={i: 1}, rhs=upper))
+        rows.append(Row({i: -1}, 0))
+        rows.append(Row({i: 1}, upper))
     return rows
 
 
@@ -171,7 +183,7 @@ def decompose(H: ParityCheckMatrix, strict: bool = True) -> DecompositionResult:
     mode they pass through undecomposed.
     """
     checks3: list[tuple[int, int, int]] = []
-    provenance: dict[tuple[int, int, int], int] = {}
+    provenance: list[int] = []
     passthrough: list[tuple[int, tuple[int, ...]]] = []
     aux_names: list[str] = []
     next_aux = H.n
@@ -185,7 +197,7 @@ def decompose(H: ParityCheckMatrix, strict: bool = True) -> DecompositionResult:
         if d == 3:
             triple = (support[0], support[1], support[2])
             checks3.append(triple)
-            provenance[triple] = j
+            provenance.append(j)
             continue
         aux = list(range(next_aux, next_aux + d - 3))
         next_aux += d - 3
@@ -194,9 +206,8 @@ def decompose(H: ParityCheckMatrix, strict: bool = True) -> DecompositionResult:
         for k in range(1, d - 3):
             chain.append((aux[k - 1], support[k + 1], aux[k]))
         chain.append((aux[-1], support[d - 2], support[d - 1]))
-        for triple in chain:
-            checks3.append(triple)
-            provenance[triple] = j
+        checks3.extend(chain)
+        provenance.extend([j] * len(chain))
     return DecompositionResult(
         n_original=H.n,
         extended_num_vars=next_aux,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lpdecode
 from lpdecode import lpsolver
 from lpdecode.cli import main
 from lpdecode.codes import builtin_code, write_alist
@@ -134,6 +139,30 @@ class TestSimulate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("code, channel", [("builtin:hamming-7-4", "bsc:0.05"),
+                                               ("builtin:ldpc-48-24", "awgn:0.7")])
+    def test_byte_identical_across_processes(self, tmp_path, code, channel):
+        # two fresh interpreters compile the code's LPs themselves; the
+        # in-process run reuses the systems a warm-up run compiled
+        args = ["simulate", "--code", code, "--channel", channel,
+                "--formulation", "both", "--trials", "4", "--seed", "11"]
+        env = dict(os.environ)
+        src = str(Path(lpdecode.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for k in range(2):
+            out = tmp_path / f"proc{k}.csv"
+            subprocess.run([sys.executable, "-m", "lpdecode.cli", *args, "--out", str(out)],
+                           env=env, check=True, timeout=120)
+            outputs.append(out.read_bytes())
+        warm = args[:-1] + ["12", "--out", str(tmp_path / "warm.csv")]
+        assert main(warm) == 0
+        out = tmp_path / "inproc.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == 1 + 2 * 4
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_awgn_channel(self, capsys):
         code, out = run(capsys, "simulate", "--code", "builtin:paper-example",

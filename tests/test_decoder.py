@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from lpdecode import lpsolver
 from lpdecode.channel import CostVector
-from lpdecode.codes import builtin_code, from_dense
+from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense
 from lpdecode.decoder import (DecodeError, WitnessSearchExhausted, brute_force_ml,
-                              codewords, decode, fractional_witness,
+                              build_program, codewords, decode, fractional_witness,
                               gf2_nullspace_basis, is_codeword)
-from lpdecode.relaxation import decompose
+from lpdecode.relaxation import decompose, decomposed_system, feldman_system
 from lpdecode.simulate import sample_gamma
 
 PAPER = builtin_code("paper-example")
@@ -110,8 +111,6 @@ class TestDecode:
         # integral decomposed outcomes: auxiliaries equal their chain XOR
         H = builtin_code("ldpc-48-24")
         D = decompose(H)
-        from lpdecode.decoder import build_program
-        from lpdecode import lpsolver
         found = 0
         for t in range(30):
             gamma = sample_gamma(H.n, 31, t)
@@ -125,6 +124,22 @@ class TestDecode:
                 if c >= H.n:
                     assert rounded[c] == rounded[a] ^ rounded[b]
         assert found > 0
+
+    @pytest.mark.parametrize("formulation", ["feldman", "decomposed"])
+    def test_system_compiled_once_per_code(self, formulation):
+        H = builtin_code("ldpc-48-24")
+        first = build_program(H, sample_gamma(H.n, 5, 0), formulation)
+        again = build_program(ParityCheckMatrix(n=H.n, rows=H.rows),
+                              sample_gamma(H.n, 5, 1), formulation)
+        assert again.constraints is first.constraints
+        assert again.objective != first.objective
+        # the shared system solves exactly like one built for this LP alone
+        fresh = (feldman_system(H) if formulation == "feldman"
+                 else decomposed_system(decompose(H), H.n))
+        a = lpsolver.solve(again)
+        b = lpsolver.solve(lpsolver.LinearProgram(again.objective, fresh))
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.point, b.point)
 
     def test_json_serialization(self):
         out = decode(PAPER, cost(1, -1, 1, -1))

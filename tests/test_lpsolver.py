@@ -6,7 +6,8 @@ from lpdecode.codes import builtin_code
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
                                is_integral, solve)
-from lpdecode.relaxation import ConstraintSystem, Row, feldman_system
+from lpdecode.relaxation import (ConstraintSystem, Row, feldman_rows_for_check,
+                                 feldman_system)
 from lpdecode.simulate import sample_gamma
 
 from conftest import enumerate_vertices
@@ -140,6 +141,28 @@ class TestBoundedVariables:
         assert sol.status == "optimal"
         assert sol.point == pytest.approx(point, abs=1e-12)
         assert sol.objective_value == pytest.approx(objective, abs=1e-12)
+
+
+class TestSharedArrays:
+    def test_cached_arrays_are_read_only(self):
+        cs = feldman_system(builtin_code("hamming-7-4"))
+        A, b = cs.arrays
+        assert cs.arrays[0] is A and cs.arrays[1] is b
+        assert not A.flags.writeable and not b.flags.writeable
+        assert A.tolist() == cs.dense()[0] and b.tolist() == cs.dense()[1]
+
+    def test_phase1_solves_leave_the_system_intact(self):
+        # with criterion 3's [-10, 10] bounds every shifted rhs of these rows
+        # except the all-plus one is negative, so each solve runs phase 1
+        cs = ConstraintSystem(num_vars=3, rows=feldman_rows_for_check((0, 1, 2)),
+                              var_names=["a", "b", "c"])
+        A0, b0 = (v.copy() for v in cs.arrays)
+        lp = LinearProgram([1.0, -1.0, 0.5], cs, [(-10.0, 10.0)] * 3)
+        first, second = solve(lp), solve(lp)
+        assert first.status == second.status == "optimal"
+        assert first.iterations == second.iterations > 0
+        assert np.array_equal(first.point, second.point)
+        assert np.array_equal(cs.arrays[0], A0) and np.array_equal(cs.arrays[1], b0)
 
 
 class TestAgainstHighs:

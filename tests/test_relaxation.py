@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpdecode import lpsolver
-from lpdecode.codes import builtin_code, degree_profile, from_dense
+from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile, from_dense
 from lpdecode.relaxation import (DegreeTooLowError, RelaxationError,
                                  count_constraints, decompose, decomposed_system,
                                  feldman_rows_for_check, feldman_system,
@@ -131,10 +131,16 @@ class TestDecompose:
     def test_provenance(self):
         H = builtin_code("hamming-7-4")
         D = decompose(H)
-        for triple in D.checks3:
-            j = D.provenance[triple]
+        assert len(D.provenance) == len(D.checks3)
+        for j, triple in zip(D.provenance, D.checks3):
             originals = [i for i in triple if i < H.n]
             assert set(originals) <= set(H.rows[j])
+
+    def test_provenance_keeps_duplicate_checks(self):
+        H = ParityCheckMatrix(n=5, rows=((0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 2, 4)))
+        D = decompose(H)
+        assert D.checks3 == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 5), (5, 2, 4)]
+        assert D.provenance == [0, 1, 2, 3, 3]
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_parity_equivalence_truth_table(self, d):
