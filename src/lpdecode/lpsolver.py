@@ -1,4 +1,4 @@
-"""Self-contained two-phase primal simplex on a condensed, bounded-variable tableau.
+"""Self-contained dual-then-primal simplex on a condensed, bounded-variable tableau.
 
 Solves min c.x subject to A.x <= b with per-variable bounds (default [0, 1]).
 Lower bounds are shifted out and every row gets a slack.  The tableau is in
@@ -6,14 +6,24 @@ condensed (dictionary) form: one row per constraint plus the objective row,
 and one column per nonbasic variable plus the rhs.  Finite upper bounds are
 not rows; Dantzig's upper-bounding technique (Chvatal, Linear Programming,
 1983) handles them.  A nonbasic variable at its upper bound is held
-complemented (u - x), so every nonbasic variable sits at zero.  An entering
-variable that reaches its own bound first flips without a pivot, and a basic
-variable that leaves at its upper bound is complemented as it leaves.
+complemented (u - x), so every nonbasic variable sits at zero.
 
-Entering columns are priced by steepest edge over the most negative reduced
-costs, with a fallback to Bland's rule after a run of pivots that make no
-progress, so cycling cannot occur.  Remaining ties break by lowest index, so
-the result is deterministic.
+A solve starts with every variable at the bound its cost favours: a variable
+with a negative cost is complemented to its upper bound.  That start is dual
+feasible (for a decoding LP it is the hard decision), so Lemke's dual simplex
+only has to repair the rows it violates; a basic variable above its upper
+bound is complemented as it leaves.  A negative cost on an infinite upper
+bound counts as 0 until the dual phase ends, and the primal simplex then
+finishes from the feasible basis, where it can also find the LP unbounded.
+In the primal loop an entering variable that reaches its own bound first
+flips without a pivot, and a basic variable that leaves at its upper bound is
+complemented as it leaves.
+
+The primal loop prices entering columns by steepest edge over the most
+negative reduced costs.  Both loops fall back to Bland's rule after a run of
+pivots that make no progress, so cycling cannot occur.  Remaining ties break
+by lowest index, so the result is deterministic.  An optional trace callback
+receives one `TraceEvent` per iteration of either loop.
 
 The constraint matrix comes from `ConstraintSystem.arrays`, which the system
 computes once and shares read-only with every solve of it; `solve` copies it
@@ -22,6 +32,7 @@ into its own tableau and never writes it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,23 +113,125 @@ STALL_LIMIT = 1000  # degenerate pivots before switching to Bland's rule
 PRICE_CANDIDATES = 40  # columns kept for steepest-edge scoring per pivot
 
 
+@dataclass(frozen=True)
+class TraceEvent:
+    """One iteration of either loop, as passed to `solve`'s trace callback.
+
+    Variables are numbered structural [0, n), then one slack per row.
+    """
+    loop: str  # dual | primal
+    iteration: int  # counted from 0 across both loops
+    kind: str  # pivot | flip | leave-at-upper
+    entering: int  # the variable that enters the basis, or that flips
+    leaving: int | None  # the variable that leaves the basis; None for a flip
+
+
+TraceCallback = Callable[[TraceEvent], None]
+
+def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                      upper: np.ndarray, flipped: np.ndarray,
+                      trace: TraceCallback | None = None) -> tuple[int, str]:
+    """Pivot until every basic variable lies within its bounds (Lemke's dual simplex).
+
+    Every reduced cost in the objective row must be nonnegative on entry, and
+    the ratio test keeps it so.  The row with the largest bound violation
+    leaves; a basic variable above its upper bound is complemented as it
+    leaves, so its row then holds a negative rhs like one below zero.  The
+    entering column minimises max(reduced cost, 0) / -T[r, j] over entries
+    T[r, j] < -1e-7 (or, if there are none, < -PIVOT_TOL); ties go to the
+    largest |pivot| and then to the lowest variable index.  A row with no
+    eligible entry proves the LP infeasible.  After STALL_LIMIT consecutive
+    pivots without progress, Bland's rule takes over (the lowest basic index
+    among the violated rows leaves, the lowest tied variable index enters)
+    until the objective moves.  Work buffers are allocated once per call.
+    """
+    m = T.shape[0] - 1
+    ub = upper[basis]  # upper bound of each row's basic variable, kept in step
+    viol = np.empty(m)
+    over = np.empty(m)
+    ratios = np.empty(T.shape[1] - 1)
+    scaled = np.empty_like(ratios)
+    eligible = np.empty(ratios.size, dtype=bool)
+    it = 0
+    stall = 0
+    use_bland = False
+    last_obj = T[-1, -1]
+    while True:
+        rhs = T[:m, -1]
+        np.subtract(rhs, ub, out=over)
+        np.negative(rhs, out=viol)
+        np.maximum(viol, over, out=viol)
+        if use_bland:
+            violated = np.nonzero(viol > FEAS_TOL)[0]
+            if violated.size == 0:
+                return it, "feasible"
+            r = violated[np.argmin(basis[violated])]
+        else:
+            if viol.max(initial=0.0) <= FEAS_TOL:
+                return it, "feasible"
+            r = int(viol.argmax())
+        leaving = basis[r]
+        at_upper = over[r] > 0.0
+        if at_upper:
+            # substitute ub - y for the basic y: negate the row, add ub to its rhs
+            T[r] *= -1.0
+            T[r, -1] += ub[r]
+            flipped[leaving] ^= True
+        row = T[r, :-1]
+        np.less(row, -1e-7, out=eligible)
+        if not eligible.any():
+            np.less(row, -PIVOT_TOL, out=eligible)
+            if not eligible.any():
+                return it, "infeasible"
+        np.maximum(T[-1, :-1], 0.0, out=scaled)
+        np.negative(scaled, out=scaled)
+        ratios.fill(np.inf)
+        np.divide(scaled, row, out=ratios, where=eligible)
+        np.less_equal(ratios, ratios.min() + FEAS_TOL, out=eligible)
+        tied = np.flatnonzero(eligible)
+        if not use_bland:
+            size = row[tied]
+            tied = tied[size == size.min()]  # largest |pivot|: the entries are negative
+        k = tied[np.argmin(nonbasic[tied])]
+        entering = nonbasic[k]
+        if trace is not None:
+            trace(TraceEvent("dual", it, "leave-at-upper" if at_upper else "pivot",
+                             int(entering), int(leaving)))
+        _pivot(T, basis, nonbasic, r, k)
+        ub[r] = upper[entering]
+        it += 1
+        if it > MAX_ITER:
+            raise IterationLimitError(f"exceeded {MAX_ITER} pivots")
+        obj = T[-1, -1]
+        if obj < last_obj - FEAS_TOL * max(1.0, abs(last_obj)):
+            # objective row stores -z, and a dual pivot can only raise z
+            stall = 0
+            use_bland = False
+            last_obj = obj
+        else:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                use_bland = True
+
+
 def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
                  upper: np.ndarray, flipped: np.ndarray, start_iter: int,
-                 verbose: bool = False) -> tuple[int, str]:
-    """Iterate until the objective row (last) has no negative reduced cost.
+                 trace: TraceCallback | None = None) -> tuple[int, str]:
+    """Iterate from a feasible basis until no reduced cost is negative.
 
     Every nonbasic variable sits at zero (a variable at its upper bound is
-    held complemented, see `flipped`), so a negative reduced cost means the
-    column can improve the objective.  The entering column is chosen by
-    steepest edge: the PRICE_CANDIDATES most negative reduced costs are each
-    divided by the norm of their column, and the smallest score wins.  After
-    STALL_LIMIT consecutive iterations without progress the rule falls back
-    to Bland's (lowest variable index enters and leaves) until the objective
-    moves, so cycling is impossible.  The ratio test lets a basic variable
-    leave at either bound; when the entering variable reaches its own upper
-    bound first, it flips instead of pivoting, and the flip counts as an
-    iteration.  Remaining ties break by lowest index, so the path is
-    deterministic.
+    held complemented, see `flipped`), so a negative reduced cost in the
+    objective row (last) means the column can improve the objective.  The
+    entering column is chosen by steepest edge: the PRICE_CANDIDATES most
+    negative reduced costs are each divided by the norm of their column, and
+    the smallest score wins.  After STALL_LIMIT consecutive iterations
+    without progress the rule falls back to Bland's (lowest variable index
+    enters and leaves) until the objective moves, so cycling is impossible.
+    The ratio test lets a basic variable leave at either bound; when the
+    entering variable reaches its own upper bound first, it flips instead of
+    pivoting, and the flip counts as an iteration.  Remaining ties break by
+    lowest index, so the path is deterministic.  On a basis the dual phase
+    left optimal this returns at once.
     """
     m = T.shape[0] - 1
     it = start_iter
@@ -159,8 +272,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         if upper[entering] <= rmin:
             if upper[entering] == np.inf:
                 return it, "unbounded"
-            if verbose:
-                print(f"iteration {it}: x{entering} flips to its bound {upper[entering]:.6g}")
+            if trace is not None:
+                trace(TraceEvent("primal", it, "flip", int(entering), None))
             _complement(T, k, upper[entering])
             flipped[entering] ^= True
         else:
@@ -171,9 +284,9 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
                 r = tied[np.argmax(np.abs(col[tied]))]  # largest pivot element for stability
             leaving = basis[r]
             at_upper = col[r] < 0.0
-            if verbose:
-                print(f"iteration {it}: enter x{entering}, leave row {r} (x{leaving}"
-                      f"{' at its upper bound' if at_upper else ''}), ratio {rmin:.6g}")
+            if trace is not None:
+                trace(TraceEvent("primal", it, "leave-at-upper" if at_upper else "pivot",
+                                 int(entering), int(leaving)))
             _pivot(T, basis, nonbasic, r, k)
             if at_upper:
                 _complement(T, k, upper[leaving])
@@ -193,8 +306,11 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
                 use_bland = True
 
 
-def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
-    """Solve the program, returning an optimal vertex or infeasible/unbounded."""
+def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
+    """Solve the program, returning an optimal vertex or infeasible/unbounded.
+
+    `trace`, if given, is called with a `TraceEvent` for every iteration.
+    """
     cs = lp.constraints
     n = cs.num_vars
     c = np.asarray(lp.objective, dtype=float)
@@ -206,52 +322,35 @@ def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
 
     A, b = cs.arrays  # shared and read-only; T below is the only copy written
     m = A.shape[0]
-    # shift x = x' + lo so that 0 <= x' <= up - lo; each row gets a slack s >= 0
-    b = b - A @ lo
+    # shift x = x' + lo so that 0 <= x' <= up - lo; each row gets a slack s >= 0.
+    # Variables are numbered structural [0, n), slack [n, n+m); the slacks
+    # start basic.
     offset = float(c @ lo)
-
-    # rows with negative rhs are negated so the tableau rhs is nonnegative;
-    # each takes an artificial basic variable, and its slack (now with
-    # coefficient -1) starts nonbasic.  Variables are numbered structural
-    # [0, n), slack [n, n+m), artificial [n+m, n+m+n_art).
-    neg = np.nonzero(b < 0)[0]
-    n_art = neg.size
-    b[neg] *= -1.0
-    art = n + m
-    upper = np.concatenate([up - lo, np.full(m + n_art, np.inf)])
-    flipped = np.zeros(upper.size, dtype=bool)  # True: held as upper - value
+    upper = np.concatenate([up - lo, np.full(m, np.inf)])
+    flipped = np.zeros(n + m, dtype=bool)  # True: held as upper - value
     basis = n + np.arange(m)
-    basis[neg] = art + np.arange(n_art)
-    nonbasic = np.concatenate([np.arange(n), n + neg])
-    T = np.zeros((m + 1, n + n_art + 1), order="F")
+    nonbasic = np.arange(n)
+    T = np.zeros((m + 1, n + 1), order="F")
     T[:m, :n] = A
-    T[neg, :n] *= -1.0
-    T[neg, n + np.arange(n_art)] = -1.0
-    T[:m, -1] = b
+    T[:m, -1] = b - A @ lo
+    T[-1, :n] = c
 
-    if n_art:
-        # phase 1: minimize the sum of the artificials
-        T[-1] = -T[neg].sum(axis=0)
-        iters, status = _run_simplex(T, basis, nonbasic, upper, flipped, 0, verbose)
-        if status == "unbounded" or T[-1, -1] < -FEAS_TOL * max(1.0, abs(b).max()):
-            return LpSolution(status="infeasible", point=None,
-                              objective_value=None, iterations=iters)
-        # pivot out any artificial still basic (at zero level); a row with no
-        # other nonzero entry is redundant and dropped
-        keep = np.ones(m + 1, dtype=bool)
-        for r in np.nonzero(basis >= art)[0]:
-            cand = np.nonzero((np.abs(T[r, :-1]) > PIVOT_TOL) & (nonbasic < art))[0]
-            if cand.size:
-                _pivot(T, basis, nonbasic, r, cand[np.argmin(nonbasic[cand])])
-                iters += 1
-            else:
-                keep[r] = False
-        cols = np.append(np.nonzero(nonbasic < art)[0], T.shape[1] - 1)
-        T = np.asfortranarray(T[keep][:, cols])
-        basis = basis[keep[:m]]
-        nonbasic = nonbasic[cols[:-1]]
-        m = basis.size
-        # phase-2 objective row from c, the basis and the complemented variables
+    # start at the bound each cost favours, so no reduced cost is negative: a
+    # negative cost complements its variable to the upper bound, or counts as
+    # 0 in the dual phase when that bound is infinite
+    shifted = np.nonzero((c < 0.0) & (upper[:n] == np.inf))[0]
+    high = np.nonzero((c < 0.0) & (upper[:n] < np.inf))[0]
+    T[:, -1] -= T[:, high] @ upper[high]
+    T[:, high] *= -1.0
+    flipped[high] = True
+    T[-1, shifted] = 0.0
+
+    iters, status = _run_dual_simplex(T, basis, nonbasic, upper, flipped, trace)
+    if status == "infeasible":
+        return LpSolution(status="infeasible", point=None,
+                          objective_value=None, iterations=iters)
+    if shifted.size:
+        # objective row from c, the basis and the complemented variables
         cost = np.zeros(upper.size)
         cost[:n] = c
         const = float(cost[flipped] @ upper[flipped])
@@ -259,11 +358,8 @@ def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
         cb = cost[basis]
         T[-1, :-1] = cost[nonbasic] - cb @ T[:m, :-1]
         T[-1, -1] = -(const + cb @ T[:m, -1])
-    else:
-        iters = 0
-        T[-1, :n] = c
 
-    iters, status = _run_simplex(T, basis, nonbasic, upper, flipped, iters, verbose)
+    iters, status = _run_simplex(T, basis, nonbasic, upper, flipped, iters, trace)
     if status == "unbounded":
         return LpSolution(status="unbounded", point=None,
                           objective_value=None, iterations=iters)

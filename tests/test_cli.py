@@ -107,9 +107,12 @@ class TestDecode:
         assert code == 2
 
     def test_iteration_cap_exit_code(self, capsys, monkeypatch):
+        # the hard decision, a single 1 in bit 6, is not a codeword
+        args = ("decode", "--code", "builtin:hamming-7-4", "--gamma=1,1,1,1,1,1,-1")
+        code, out = run(capsys, *args)
+        assert code == 0 and json.loads(out)["iterations"] >= 2
         monkeypatch.setattr(lpsolver, "MAX_ITER", 1)
-        code, _ = run(capsys, "decode", "--code", "builtin:hamming-7-4",
-                      "--gamma=-1,-1,-1,-1,-1,-1,-1")
+        code, _ = run(capsys, *args)
         assert code == 3
 
 

@@ -12,6 +12,8 @@ from lpdecode.decoder import (DecodeError, WitnessSearchExhausted, brute_force_m
 from lpdecode.relaxation import decompose, decomposed_system, feldman_system
 from lpdecode.simulate import sample_gamma
 
+from conftest import enumerate_vertices
+
 PAPER = builtin_code("paper-example")
 HAMMING = builtin_code("hamming-7-4")
 
@@ -158,20 +160,31 @@ class TestFractionalWitness:
         assert not out.integral
 
     def test_paper_example_sign_patterns(self):
-        # exhaustive over the 16 sign patterns of {-1,+1}^4: exactly six yield
-        # a fractional optimum, all at the pseudocodewords (1,.5,.5,0)/(0,.5,.5,1)
-        witnesses = {}
+        # exhaustive over the 16 sign patterns of {-1,+1}^4.  The polytope's
+        # fractional vertices are the pseudocodewords (1,.5,.5,0)/(0,.5,.5,1);
+        # wherever one is optimal an integral vertex ties with it, so which of
+        # the two decode returns is a matter of tie-breaking.  The objective,
+        # the pseudocodewords and the patterns they are optimal for are not.
+        A, b = feldman_system(PAPER, include_boxes=True).dense()
+        vertices = enumerate_vertices(A, b)
+        pseudocodewords = {(1.0, 0.5, 0.5, 0.0), (0.0, 0.5, 0.5, 1.0)}
+        fractional = [v for v in vertices if not lpsolver.is_integral(v, 1e-6)[0]]
+        assert {tuple(v) for v in fractional} == pseudocodewords
+        pseudo_optimal = set()
         for signs in itertools.product((-1.0, 1.0), repeat=4):
+            c = np.array(signs)
+            best = min(float(c @ v) for v in vertices)
             out = decode(PAPER, CostVector(gammas=signs), "feldman")
+            assert out.objective == pytest.approx(best, abs=1e-9)
             if not out.integral:
-                witnesses[signs] = tuple(round(v, 9) for v in out.point)
-        assert witnesses == {
-            (-1.0, -1.0, -1.0, 1.0): (1.0, 0.5, 0.5, 0.0),
-            (-1.0, -1.0, 1.0, 1.0): (1.0, 0.5, 0.5, 0.0),
-            (-1.0, 1.0, -1.0, 1.0): (1.0, 0.5, 0.5, 0.0),
-            (1.0, -1.0, -1.0, -1.0): (0.0, 0.5, 0.5, 1.0),
-            (1.0, -1.0, 1.0, -1.0): (0.0, 0.5, 0.5, 1.0),
-            (1.0, 1.0, -1.0, -1.0): (0.0, 0.5, 0.5, 1.0),
+                assert tuple(round(v, 9) for v in out.point) in pseudocodewords
+            if any(abs(float(c @ v) - best) <= 1e-9 for v in fractional):
+                pseudo_optimal.add(signs)
+        assert pseudo_optimal == {
+            (-1.0, -1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0),
+            (-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, 1.0),
+            (1.0, -1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0),
+            (1.0, 1.0, -1.0, -1.0), (1.0, 1.0, 1.0, -1.0),
         }
 
     def test_tree_code_exhausts(self):

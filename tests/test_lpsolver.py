@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdecode import lpsolver
 from lpdecode.codes import builtin_code
@@ -11,6 +13,8 @@ from lpdecode.relaxation import (ConstraintSystem, Row, feldman_rows_for_check,
 from lpdecode.simulate import sample_gamma
 
 from conftest import enumerate_vertices
+
+INF = float("inf")
 
 
 def make_cs(rows, num_vars):
@@ -73,10 +77,14 @@ class TestBasics:
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(lpsolver, "MAX_ITER", 1)
+        # the hard decision of these costs, a single 1 in bit 6, is not a
+        # codeword, so the solve needs more than one pivot
+        c = [1.0] * 6 + [-1.0]
         cs = feldman_system(builtin_code("hamming-7-4"))
+        assert solve(LinearProgram(c, cs)).iterations >= 2
+        monkeypatch.setattr(lpsolver, "MAX_ITER", 1)
         with pytest.raises(IterationLimitError):
-            solve(LinearProgram([-1.0] * 7, cs))
+            solve(LinearProgram(c, cs))
 
 
 class TestAgainstVertexOracle:
@@ -118,26 +126,35 @@ class TestAgainstVertexOracle:
 
 
 class TestBoundedVariables:
-    # each path is the shortest one: a variable that leaves at its upper bound
-    # is complemented as it leaves, so no repair flip follows
+    # phase 1 is the dual loop, phase 2 the primal loop; `events` is the whole
+    # path as (loop, kind, entering, leaving), variables numbered structural
+    # first, then one slack per row.  Both optima are unique.
     @pytest.mark.parametrize("c, rows, bounds, point, objective, events", [
-        # min -2x + 2y, x - 2y <= 1, x in [0, 3], y in [0, 4]: x enters at the
-        # row, then y enters and drives the basic x to its upper bound
-        ([-2.0, 2.0], [({0: 1, 1: -2}, 1)], [(0.0, 3.0), (0.0, 4.0)],
-         [3.0, 1.0], -4.0, ["at its upper bound"]),
-        # min -x + y, -x - 2y <= 1, x in [-2, 2], y in [-2, 0]: needs phase 1;
-        # y flips to its bound, x enters, then y enters and x leaves at its
-        # upper bound
-        ([-1.0, 1.0], [({0: -1, 1: -2}, 1)], [(-2.0, 2.0), (-2.0, 0.0)],
-         [2.0, -1.5], -3.5, ["flips", "at its upper bound"]),
+        # min -x - 2y, x + y <= 1, x in [0, 2], y in [0, inf): the start puts x
+        # at 2 (held complemented) and counts y's cost as 0; the dual pivot
+        # brings x into the violated row at 1, then with y's cost restored y
+        # enters and drives the basic x down to 0, the upper bound of 2 - x
+        ([-1.0, -2.0], [({0: 1, 1: 1}, 1)], [(0.0, 2.0), (0.0, INF)],
+         [0.0, 1.0], -2.0,
+         [("dual", "pivot", 0, 2), ("primal", "leave-at-upper", 1, 0)]),
+        # min -a + 2b - z, a - 2z <= 3, -b + z <= -1, a, b in [-2, inf) and
+        # [-1, inf), z in [-1, 0]: z starts at 0 (held complemented) and a's
+        # cost counts as 0; z enters the violated row and falls past -1, so
+        # it leaves there, at the upper bound of 0 - z, as b enters; then a
+        # enters and z flips back to 0
+        ([-1.0, 2.0, -1.0], [({0: 1, 2: -2}, 3), ({1: -1, 2: 1}, -1)],
+         [(-2.0, INF), (-1.0, INF), (-1.0, 0.0)],
+         [3.0, 1.0, 0.0], -1.0,
+         [("dual", "pivot", 2, 4), ("dual", "leave-at-upper", 1, 2),
+          ("primal", "pivot", 0, 3), ("primal", "flip", 2, None)]),
     ], ids=["phase2", "phase1-with-flip"])
-    def test_basic_variable_leaves_at_upper_bound(self, capsys, c, rows, bounds,
+    def test_basic_variable_leaves_at_upper_bound(self, c, rows, bounds,
                                                   point, objective, events):
-        sol = solve(LinearProgram(c, make_cs(rows, 2), bounds), verbose=True)
-        trace = capsys.readouterr().out
-        for event in events:
-            assert event in trace
-        assert sol.iterations == len(events) + 1
+        trace = []
+        sol = solve(LinearProgram(c, make_cs(rows, len(c)), bounds), trace=trace.append)
+        assert [(e.loop, e.kind, e.entering, e.leaving) for e in trace] == events
+        assert [e.iteration for e in trace] == list(range(len(events)))
+        assert sol.iterations == len(events)
         assert sol.status == "optimal"
         assert sol.point == pytest.approx(point, abs=1e-12)
         assert sol.objective_value == pytest.approx(objective, abs=1e-12)
@@ -152,8 +169,8 @@ class TestSharedArrays:
         assert A.tolist() == cs.dense()[0] and b.tolist() == cs.dense()[1]
 
     def test_phase1_solves_leave_the_system_intact(self):
-        # with criterion 3's [-10, 10] bounds every shifted rhs of these rows
-        # except the all-plus one is negative, so each solve runs phase 1
+        # with criterion 3's [-10, 10] bounds the start (-10, 10, -10) violates
+        # these rows, so each solve pivots in phase 1, the dual loop
         cs = ConstraintSystem(num_vars=3, rows=feldman_rows_for_check((0, 1, 2)),
                               var_names=["a", "b", "c"])
         A0, b0 = (v.copy() for v in cs.arrays)
@@ -179,6 +196,91 @@ class TestAgainstHighs:
             assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
             assert np.all(A @ sol.point <= b + 1e-9)
             assert np.all(sol.point >= -1e-9) and np.all(sol.point <= 1 + 1e-9)
+
+
+@st.composite
+def general_lps(draw):
+    """1-5 variables, 1-7 integer rows, bounds from -4 to +inf, integer costs."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+    width = draw(st.lists(st.one_of(st.integers(0, 4), st.just(INF)),
+                          min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return (np.array(A, dtype=float), np.array(b, dtype=float),
+            [(float(l), l + w) for l, w in zip(lo, width)], [float(v) for v in c])
+
+
+def solve_dense(A, b, bounds, c, trace=None):
+    rows = [({j: v for j, v in enumerate(row) if v}, rhs) for row, rhs in zip(A, b)]
+    return solve(LinearProgram(c, make_cs(rows, len(c)), bounds), trace=trace)
+
+
+class TestAgainstHighsGeneral:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(general_lps())
+    def test_general_lps(self, lp):
+        # negative costs on infinite bounds make the solve shift a cost, then
+        # finish in the primal loop, where it may find the LP unbounded
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        A, b, bounds, c = lp
+        highs_bounds = [(lo, None if up == INF else up) for lo, up in bounds]
+        ref = linprog(c, A_ub=A, b_ub=b, bounds=highs_bounds, method="highs")
+        sol = solve_dense(A, b, bounds, c)
+        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        if expected == "infeasible" and sol.status != "infeasible":
+            # HiGHS may call a feasible, unbounded LP infeasible
+            assert linprog(np.zeros(len(c)), A_ub=A, b_ub=b, bounds=highs_bounds,
+                           method="highs").status == 0
+        else:
+            assert sol.status == expected
+        if sol.status == "optimal":
+            if expected == "optimal":
+                assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            x = sol.point
+            assert np.all(A @ x <= b + 1e-9)
+            assert all(lo - 1e-9 <= v <= up + 1e-9 for v, (lo, up) in zip(x, bounds))
+
+
+class TestAntiCycling:
+    # STALL_LIMIT = 1 puts each loop on Bland's rule after any pivot that
+    # does not move the objective
+
+    def test_bland_rule_keeps_formulations_equal(self, monkeypatch):
+        monkeypatch.setattr(lpsolver, "STALL_LIMIT", 1)
+        for name, draws in (("paper-example", 100), ("hamming-7-4", 100), ("ldpc-48-24", 30)):
+            H = builtin_code(name)
+            for t in range(draws):
+                gamma = sample_gamma(H.n, 404, t)  # criterion 4's costs
+                f, d = (solve(build_program(H, gamma, form)) for form in ("feldman", "decomposed"))
+                assert f.status == d.status == "optimal"
+                assert abs(f.objective_value - d.objective_value) <= 1e-7
+
+    def test_bland_rule_in_the_primal_loop(self, monkeypatch):
+        # shifted costs leave the primal loop work to do after the dual phase
+        rng = np.random.default_rng(7)
+        lps = []
+        for _ in range(300):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+            lo = rng.integers(-4, 1, n).astype(float)
+            up = np.where(rng.random(n) < 0.5, INF, lo + rng.integers(0, 5, n))
+            lps.append((rng.integers(-3, 4, (m, n)).astype(float),
+                        rng.integers(-1, 5, m).astype(float),
+                        list(zip(lo, up)), list(rng.integers(-3, 4, n).astype(float))))
+        reference = [solve_dense(*lp) for lp in lps]
+        monkeypatch.setattr(lpsolver, "STALL_LIMIT", 1)
+        primal = 0
+        for lp, ref in zip(lps, reference):
+            trace = []
+            sol = solve_dense(*lp, trace=trace.append)
+            primal += sum(e.loop == "primal" for e in trace)
+            assert sol.status == ref.status
+            if sol.status == "optimal":
+                assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
+        assert primal > 0
 
 
 class TestFeasibilityOfOptimum:
