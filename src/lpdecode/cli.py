@@ -6,13 +6,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import lpsolver
 from .channel import Awgn, Bsc, ChannelError, CostVector
 from .codes import CodeError, ParityCheckMatrix, builtin_code, parse_alist
-from .decoder import DecodeError, decode
+from .decoder import FORMULATIONS, DecodeError, decode
 from .relaxation import RelaxationError
 from .simulate import TrialRecord, run_compare, run_counts, run_simulate
 
@@ -61,6 +62,8 @@ def parse_gamma(spec: str, n: int) -> CostVector:
         raise InputError(f"non-numeric cost entry in {spec!r}") from None
     if len(vals) != n:
         raise InputError(f"expected {n} costs, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise InputError(f"non-finite cost entry in {spec!r}")
     return CostVector(gammas=tuple(vals))
 
 
@@ -144,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
                                             "odd-subset relaxation vs degree-3 chain reformulation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, formats=("csv", "json")):
         sp.add_argument("--code", required=True,
                         help="alist file path or builtin:{paper-example,hamming-7-4,ldpc-48-24}")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+        sp.add_argument("--format", choices=formats, default=None)
         sp.add_argument("--timing", action="store_true",
                         help="include wall-clock fields (breaks byte-identical reruns)")
 
@@ -165,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare, default_format="json")
 
     sp = sub.add_parser("decode", help="decode one cost vector")
-    add_common(sp)
+    add_common(sp, formats=("json",))
     sp.add_argument("--gamma", required=True, help="comma-separated costs or @FILE")
-    sp.add_argument("--formulation", choices=("feldman", "decomposed"), default="feldman")
+    sp.add_argument("--formulation", choices=FORMULATIONS, default="feldman")
     sp.set_defaults(func=cmd_decode, default_format="json")
 
     sp = sub.add_parser("simulate", help="Monte Carlo FER/BER trials")
@@ -175,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--channel", required=True, help="bsc:p or awgn:sigma")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--formulation", choices=("feldman", "decomposed", "both"),
-                    default="feldman")
+    sp.add_argument("--formulation", choices=FORMULATIONS + ("both",), default="feldman")
     sp.set_defaults(func=cmd_simulate, default_format="csv")
 
     return p

@@ -63,8 +63,8 @@ def is_codeword(H: ParityCheckMatrix, bits) -> bool:
 
 
 @functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
-def _compiled_system(H: ParityCheckMatrix, formulation: str) -> tuple[ConstraintSystem, int]:
-    """The decoding constraint system of (H, formulation) and its auxiliary count.
+def _compiled_system(H: ParityCheckMatrix, formulation: str) -> ConstraintSystem:
+    """The decoding constraint system of (H, formulation).
 
     The system depends only on the code, never on the costs, so it is built
     once per process and shared by every decode; its dense arrays are
@@ -72,9 +72,8 @@ def _compiled_system(H: ParityCheckMatrix, formulation: str) -> tuple[Constraint
     modify the returned system.
     """
     if formulation == "feldman":
-        return feldman_system(H, include_boxes=False), 0
-    D = decompose(H, strict=False)
-    return decomposed_system(D, H.n, cover_boxes=False), D.aux_count
+        return feldman_system(H, include_boxes=False)
+    return decomposed_system(decompose(H, strict=False), H.n, cover_boxes=False)
 
 
 def build_program(H: ParityCheckMatrix, gamma: CostVector,
@@ -84,8 +83,8 @@ def build_program(H: ParityCheckMatrix, gamma: CostVector,
         raise DecodeError(f"unknown formulation {formulation!r}")
     if len(gamma) != H.n:
         raise DecodeError(f"cost length {len(gamma)} != n {H.n}")
-    cs, aux_count = _compiled_system(H, formulation)
-    return lpsolver.LinearProgram(objective=list(gamma.gammas) + [0.0] * aux_count,
+    cs = _compiled_system(H, formulation)
+    return lpsolver.LinearProgram(objective=list(gamma.gammas) + [0.0] * (cs.num_vars - H.n),
                                   constraints=cs)
 
 

@@ -19,11 +19,11 @@ In the primal loop an entering variable that reaches its own bound first
 flips without a pivot, and a basic variable that leaves at its upper bound is
 complemented as it leaves.
 
-The primal loop prices entering columns by steepest edge over the most
-negative reduced costs.  Both loops fall back to Bland's rule after a run of
-pivots that make no progress, so cycling cannot occur.  Remaining ties break
-by lowest index, so the result is deterministic.  An optional trace callback
-receives one `TraceEvent` per iteration of either loop.
+The primal loop runs on Bland's rule throughout (lowest index enters and
+leaves), so it cannot cycle.  The dual loop falls back to Bland's rule after
+STALL_LIMIT pivots that make no progress.  Remaining ties break by lowest
+index, so the result is deterministic.  An optional trace callback receives
+one `TraceEvent` per iteration of either loop.
 
 The constraint matrix comes from `ConstraintSystem.arrays`, which the system
 computes once and shares read-only with every solve of it; `solve` copies it
@@ -69,8 +69,11 @@ class LinearProgram:
         if len(self.bounds) != n:
             raise DimensionError(f"{len(self.bounds)} bounds for {n} variables")
         for i, (lo, up) in enumerate(self.bounds):
-            if lo > up:
-                raise DimensionError(f"variable {i}: lower bound {lo} > upper bound {up}")
+            # NaN fails both tests; an upper bound may be +inf, a lower bound
+            # must be finite because the solve shifts it out
+            if not (np.isfinite(lo) and lo <= up):
+                raise DimensionError(f"variable {i}: bounds ({lo}, {up}) need a finite "
+                                     "lower bound no greater than the upper bound")
         return list(self.bounds)
 
 
@@ -109,8 +112,7 @@ def _complement(T: np.ndarray, k: int, u: float) -> None:
     T[:, k] *= -1.0
 
 
-STALL_LIMIT = 1000  # degenerate pivots before switching to Bland's rule
-PRICE_CANDIDATES = 40  # columns kept for steepest-edge scoring per pivot
+STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's rule
 
 
 @dataclass(frozen=True)
@@ -217,44 +219,25 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
 def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
                  upper: np.ndarray, flipped: np.ndarray, start_iter: int,
                  trace: TraceCallback | None = None) -> tuple[int, str]:
-    """Iterate from a feasible basis until no reduced cost is negative.
+    """Iterate from a feasible basis by Bland's rule until no reduced cost is negative.
 
     Every nonbasic variable sits at zero (a variable at its upper bound is
     held complemented, see `flipped`), so a negative reduced cost in the
     objective row (last) means the column can improve the objective.  The
-    entering column is chosen by steepest edge: the PRICE_CANDIDATES most
-    negative reduced costs are each divided by the norm of their column, and
-    the smallest score wins.  After STALL_LIMIT consecutive iterations
-    without progress the rule falls back to Bland's (lowest variable index
-    enters and leaves) until the objective moves, so cycling is impossible.
-    The ratio test lets a basic variable leave at either bound; when the
-    entering variable reaches its own upper bound first, it flips instead of
-    pivoting, and the flip counts as an iteration.  Remaining ties break by
-    lowest index, so the path is deterministic.  On a basis the dual phase
-    left optimal this returns at once.
+    lowest variable index among those columns enters; the ratio test lets a
+    basic variable leave at either bound, and the lowest basic index among
+    the tied rows leaves.  Bland's rule cannot cycle.  When the entering
+    variable reaches its own upper bound first, it flips instead of pivoting,
+    and the flip counts as an iteration.  On a basis the dual phase left
+    optimal this returns at once.
     """
     m = T.shape[0] - 1
     it = start_iter
-    stall = 0
-    use_bland = False
-    last_obj = T[-1, -1]
     while True:
-        red = T[-1, :-1]
-        negs = np.nonzero(red < -FEAS_TOL)[0]
+        negs = np.nonzero(T[-1, :-1] < -FEAS_TOL)[0]
         if negs.size == 0:
             return it, "optimal"
-        if use_bland:
-            k = negs[np.argmin(nonbasic[negs])]
-        else:
-            # steepest-edge pricing: normalize the reduced cost by the column
-            # norm; scoring only the most negative candidates keeps it cheap
-            if negs.size > PRICE_CANDIDATES:
-                keep = np.argpartition(red[negs], PRICE_CANDIDATES)[:PRICE_CANDIDATES]
-                negs = negs[keep]
-            cols = T[:m, negs]
-            scores = red[negs] / np.sqrt(1.0 + np.einsum("ij,ij->j", cols, cols))
-            tied = negs[scores == scores.min()]
-            k = tied[np.argmin(nonbasic[tied])]
+        k = negs[np.argmin(nonbasic[negs])]
         col = T[:m, k]
         ub = upper[basis]
         rhs = np.minimum(np.maximum(T[:m, -1], 0.0), ub)  # clamp roundoff past a bound
@@ -278,10 +261,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
             flipped[entering] ^= True
         else:
             tied = np.nonzero(ratios <= rmin + FEAS_TOL)[0]
-            if use_bland:
-                r = tied[np.argmin(basis[tied])]  # lowest-index basic variable leaves
-            else:
-                r = tied[np.argmax(np.abs(col[tied]))]  # largest pivot element for stability
+            r = tied[np.argmin(basis[tied])]
             leaving = basis[r]
             at_upper = col[r] < 0.0
             if trace is not None:
@@ -294,16 +274,6 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         it += 1
         if it > MAX_ITER:
             raise IterationLimitError(f"exceeded {MAX_ITER} pivots")
-        obj = T[-1, -1]
-        if obj > last_obj + FEAS_TOL * max(1.0, abs(last_obj)):
-            # objective row stores -z, so an increase means real progress
-            stall = 0
-            use_bland = False
-            last_obj = obj
-        else:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                use_bland = True
 
 
 def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
@@ -316,6 +286,8 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     c = np.asarray(lp.objective, dtype=float)
     if c.shape != (n,):
         raise DimensionError(f"objective length {c.size} != num_vars {n}")
+    if not np.isfinite(c).all():
+        raise DimensionError("objective has a non-finite cost")
     bounds = lp.resolved_bounds()
     lo = np.array([b[0] for b in bounds], dtype=float)
     up = np.array([b[1] for b in bounds], dtype=float)

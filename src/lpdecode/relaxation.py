@@ -154,12 +154,12 @@ def _var_names(n: int) -> list[str]:
     return [f"f_{i + 1}" for i in range(n)]
 
 
-def box_rows(indices, upper: int = 1) -> list[Row]:
-    """-x_i <= 0 and x_i <= upper for each index, in index order."""
+def box_rows(indices) -> list[Row]:
+    """-x_i <= 0 and x_i <= 1 for each index, in index order."""
     rows = []
     for i in indices:
         rows.append(Row({i: -1}, 0))
-        rows.append(Row({i: 1}, upper))
+        rows.append(Row({i: 1}, 1))
     return rows
 
 

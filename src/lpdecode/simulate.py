@@ -9,12 +9,11 @@ import numpy as np
 
 from .channel import Bsc, ChannelModel, CostVector, llr_costs, transmit, trial_rng
 from .codes import ParityCheckMatrix, degree_profile
-from .decoder import DecodeOutcome, decode
+from .decoder import FORMULATIONS, DecodeOutcome, decode
 from .relaxation import (ConstraintCounts, count_constraints, decompose,
                          decomposed_system, feldman_system)
 
 SCHEMA_VERSION = 1
-FORMS = ("feldman", "decomposed")
 
 
 @dataclass
@@ -185,7 +184,7 @@ def run_simulate(H: ParityCheckMatrix, ch: ChannelModel, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    formulations = list(FORMS) if formulation == "both" else [formulation]
+    formulations = list(FORMULATIONS) if formulation == "both" else [formulation]
     sent = np.zeros(H.n, dtype=int)
     records: list[TrialRecord] = []
     for t in range(trials):

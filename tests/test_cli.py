@@ -106,6 +106,19 @@ class TestDecode:
                       "--gamma", "1,2,x,4")
         assert code == 2
 
+    def test_non_finite_cost(self, capsys):
+        code, _ = run(capsys, "decode", "--code", "builtin:paper-example",
+                      "--gamma", "1,nan,1,inf")
+        assert code == 2
+
+    def test_csv_format_rejected(self, capsys):
+        # decode writes JSON only, so argparse refuses csv
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--code", "builtin:paper-example", "--gamma", "1,1,1,1",
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_iteration_cap_exit_code(self, capsys, monkeypatch):
         # the hard decision, a single 1 in bit 6, is not a codeword
         args = ("decode", "--code", "builtin:hamming-7-4", "--gamma=1,1,1,1,1,1,-1")

@@ -15,6 +15,7 @@ from lpdecode.simulate import sample_gamma
 from conftest import enumerate_vertices
 
 INF = float("inf")
+NAN = float("nan")
 
 
 def make_cs(rows, num_vars):
@@ -49,6 +50,20 @@ class TestBasics:
         cs = make_cs([({0: 1}, 1)], 1)
         with pytest.raises(DimensionError):
             solve(LinearProgram([1.0], cs, bounds=[(1.0, 0.0)]))
+
+    @pytest.mark.parametrize("c, bounds", [
+        ([1.0], [(-INF, 5.0)]),
+        ([1.0], [(NAN, 5.0)]),
+        ([1.0], [(0.0, NAN)]),
+        ([INF], None),
+        ([NAN], None),
+    ], ids=["infinite-lower", "nan-lower", "nan-upper", "infinite-cost", "nan-cost"])
+    def test_non_finite_input_rejected(self, c, bounds):
+        # the solve shifts lower bounds out and prices with the costs, so it
+        # has no answer for these; with x in (-inf, 5] min x is unbounded
+        cs = make_cs([({0: 1}, 4)], 1)
+        with pytest.raises(DimensionError):
+            solve(LinearProgram(c, cs, bounds))
 
     def test_infeasible(self):
         # x <= -1 with x in [0, 1]
@@ -246,8 +261,8 @@ class TestAgainstHighsGeneral:
 
 
 class TestAntiCycling:
-    # STALL_LIMIT = 1 puts each loop on Bland's rule after any pivot that
-    # does not move the objective
+    # the primal loop always runs on Bland's rule; STALL_LIMIT = 1 puts the
+    # dual loop on it after any pivot that does not move the objective
 
     def test_bland_rule_keeps_formulations_equal(self, monkeypatch):
         monkeypatch.setattr(lpsolver, "STALL_LIMIT", 1)
@@ -260,7 +275,9 @@ class TestAntiCycling:
                 assert abs(f.objective_value - d.objective_value) <= 1e-7
 
     def test_bland_rule_in_the_primal_loop(self, monkeypatch):
-        # shifted costs leave the primal loop work to do after the dual phase
+        # shifted costs leave the primal loop work to do after the dual phase;
+        # the dual loop under STALL_LIMIT = 1 must reach the same status and
+        # objective as under the default limit
         rng = np.random.default_rng(7)
         lps = []
         for _ in range(300):
@@ -281,6 +298,25 @@ class TestAntiCycling:
             if sol.status == "optimal":
                 assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
         assert primal > 0
+
+
+    def test_primal_loop_on_beales_cycling_lp(self):
+        # Beale's LP cycles under Dantzig's most-negative-cost rule; every
+        # variable is in [0, inf) and x = 0 is feasible, so the dual loop does
+        # nothing and the negative costs of a and c are restored for the
+        # primal loop, which Bland's rule takes to the optimum in six pivots
+        rows = [({0: 0.25, 1: -8, 2: -1, 3: 9}, 0), ({0: 0.5, 1: -12, 2: -0.5, 3: 3}, 0),
+                ({2: 1}, 1)]
+        trace = []
+        sol = solve(LinearProgram([-0.75, 20.0, -0.5, 6.0], make_cs(rows, 4), [(0.0, INF)] * 4),
+                    trace=trace.append)
+        assert [(e.loop, e.kind, e.entering, e.leaving) for e in trace] == [
+            ("primal", "pivot", 0, 4), ("primal", "pivot", 1, 5),
+            ("primal", "pivot", 2, 0), ("primal", "pivot", 3, 1),
+            ("primal", "pivot", 0, 6), ("primal", "pivot", 4, 3)]
+        assert sol.status == "optimal"
+        assert sol.point == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+        assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
 
 
 class TestFeasibilityOfOptimum:
