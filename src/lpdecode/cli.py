@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -69,18 +70,25 @@ def parse_gamma(spec: str, n: int) -> CostVector:
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        # overwrite in place, then cut to length: truncating on open makes ext4
+        # flush the file on close, and the next run's truncation waits for that write
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+            f.write(text)
+            if os.path.isfile(out):
+                f.truncate()
     else:
         sys.stdout.write(text)
 
 
-def _counts_csv(report) -> str:
-    d = report.to_json_dict()
+def _counts_csv(report, with_timing: bool = False) -> str:
+    """(field, value) lines; a dict field gives one line per key, named field.key."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["field", "value"])
-    for k, v in d.items():
-        if not isinstance(v, dict):
+    for k, v in report.to_json_dict(with_timing).items():
+        if isinstance(v, dict):
+            w.writerows([f"{k}.{form}", x] for form, x in v.items())
+        else:
             w.writerow([k, v])
     return buf.getvalue()
 
@@ -100,7 +108,7 @@ def cmd_compare(args) -> int:
     report = run_compare(H, args.num_gammas, args.seed, code_name=args.code,
                          all_positive=args.all_positive)
     if args.format == "csv":
-        _emit(_counts_csv(report), args.out)
+        _emit(_counts_csv(report, args.timing), args.out)
     else:
         _emit(json.dumps(report.to_json_dict(with_timing=args.timing), indent=2) + "\n",
               args.out)

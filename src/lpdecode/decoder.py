@@ -67,9 +67,8 @@ def _compiled_system(H: ParityCheckMatrix, formulation: str) -> ConstraintSystem
     """The decoding constraint system of (H, formulation).
 
     The system depends only on the code, never on the costs, so it is built
-    once per process and shared by every decode; its dense arrays are
-    computed on the first solve and reused after that.  Callers must not
-    modify the returned system.
+    once per process, with its read-only arrays, and shared by every decode.
+    Callers must not modify the returned system.
     """
     if formulation == "feldman":
         return feldman_system(H, include_boxes=False)

@@ -26,8 +26,8 @@ index, so the result is deterministic.  An optional trace callback receives
 one `TraceEvent` per iteration of either loop.
 
 The constraint matrix comes from `ConstraintSystem.arrays`, which the system
-computes once and shares read-only with every solve of it; `solve` copies it
-into its own tableau and never writes it.
+holds read-only and shares with every solve of it; `solve` copies it into its
+own tableau and never writes it.
 """
 
 from __future__ import annotations
@@ -62,19 +62,22 @@ class LinearProgram:
     constraints: ConstraintSystem
     bounds: list[tuple[float, float]] | None = None  # default (0, 1) per variable
 
-    def resolved_bounds(self) -> list[tuple[float, float]]:
+    def resolved_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds as float arrays; (0, 1) per variable by default."""
         n = self.constraints.num_vars
         if self.bounds is None:
-            return [(0.0, 1.0)] * n
+            return np.zeros(n), np.ones(n)
         if len(self.bounds) != n:
             raise DimensionError(f"{len(self.bounds)} bounds for {n} variables")
-        for i, (lo, up) in enumerate(self.bounds):
-            # NaN fails both tests; an upper bound may be +inf, a lower bound
-            # must be finite because the solve shifts it out
-            if not (np.isfinite(lo) and lo <= up):
-                raise DimensionError(f"variable {i}: bounds ({lo}, {up}) need a finite "
-                                     "lower bound no greater than the upper bound")
-        return list(self.bounds)
+        lo, up = np.array(self.bounds, dtype=float).reshape(n, 2).T
+        # NaN fails both tests; an upper bound may be +inf, a lower bound
+        # must be finite because the solve shifts it out
+        bad = np.flatnonzero(~(np.isfinite(lo) & (lo <= up)))
+        if bad.size:
+            i = bad[0]
+            raise DimensionError(f"variable {i}: bounds ({lo[i]}, {up[i]}) need a finite "
+                                 "lower bound no greater than the upper bound")
+        return lo, up
 
 
 @dataclass
@@ -288,9 +291,7 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
         raise DimensionError(f"objective length {c.size} != num_vars {n}")
     if not np.isfinite(c).all():
         raise DimensionError("objective has a non-finite cost")
-    bounds = lp.resolved_bounds()
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    up = np.array([b[1] for b in bounds], dtype=float)
+    lo, up = lp.resolved_bounds()
 
     A, b = cs.arrays  # shared and read-only; T below is the only copy written
     m = A.shape[0]

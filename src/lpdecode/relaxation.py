@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -40,27 +41,39 @@ class Row:
     rhs: int
 
 
-@dataclass
+class _Rows(Sequence):
+    """Read-only view of (A, b) as `Row`s, each built from its row's nonzeros on access."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        self._A, self._b = A, b
+
+    def __len__(self) -> int:
+        return self._A.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        row = self._A[i]
+        nz = np.flatnonzero(row)
+        return Row(dict(zip(nz.tolist(), row[nz].astype(int).tolist())), int(self._b[i]))
+
+
+@dataclass(eq=False)
 class ConstraintSystem:
+    """A.x <= b over num_vars variables, with integer entries.
+
+    `arrays` is the float64 (A, b); the builders below make both read-only, so
+    every solve can share them.  `rows` views the same arrays as `Row`s.
+    """
+
     num_vars: int
-    rows: list[Row]
+    arrays: tuple[np.ndarray, np.ndarray]
     var_names: list[str]
     box_rows_included: bool = False
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense float64 (A, b), built on first use and shared by every later caller.
-
-        Both arrays are read-only, so a solver that shares them cannot write
-        them.  They are computed once, so the rows must not change afterwards.
-        """
-        A = np.zeros((len(self.rows), self.num_vars))
-        for r, row in enumerate(self.rows):
-            A[r, list(row.coeffs)] = list(row.coeffs.values())
-        b = np.array([row.rhs for row in self.rows], dtype=float)
-        A.flags.writeable = False
-        b.flags.writeable = False
-        return A, b
+    @property
+    def rows(self) -> Sequence[Row]:
+        return _Rows(*self.arrays)
 
     def dense(self):
         """Dense (A, b) as float lists, for golden comparisons."""
@@ -119,59 +132,66 @@ class ConstraintCounts:
 
 
 @lru_cache(maxsize=64)
-def _odd_position_subsets(d: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for k in range(1, d + 1, 2):
-        out.extend(itertools.combinations(range(d), k))
-    return tuple(out)
+def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only signs (+1 on S, -1 elsewhere) and rhs |S|-1 of a degree-d check,
+    one row per odd subset S of its d positions, ascending size then lexicographic."""
+    signs = np.full((2 ** (d - 1), d), -1.0)
+    subsets = (S for k in range(1, d + 1, 2) for S in itertools.combinations(range(d), k))
+    for r, positions in enumerate(subsets):
+        signs[r, positions] = 1.0
+    rhs = (signs > 0).sum(axis=1) - 1.0
+    signs.flags.writeable = rhs.flags.writeable = False
+    return signs, rhs
 
 
 def odd_subsets(support) -> list[tuple[int, ...]]:
     """All odd-cardinality subsets of support, ascending size then lexicographic."""
-    support = tuple(sorted(support))
+    support = sorted(support)
     if not support:
         raise RelaxationError("empty support")
-    return [tuple(support[p] for p in positions)
-            for positions in _odd_position_subsets(len(support))]
+    signs, _ = _check_pattern(len(support))
+    return [tuple(i for i, s in zip(support, row) if s > 0) for row in signs.tolist()]
 
 
-def feldman_rows_for_check(support) -> list[Row]:
-    """One inequality per odd subset S: +1 on S, -1 on support\\S, rhs |S|-1."""
-    support = tuple(sorted(support))
-    if not support:
-        raise RelaxationError("empty support")
-    base = {i: -1 for i in support}
-    rows = []
-    for positions in _odd_position_subsets(len(support)):
-        coeffs = base.copy()
-        for p in positions:
-            coeffs[support[p]] = 1
-        rows.append(Row(coeffs, len(positions) - 1))
-    return rows
+def _stack(supports, num_vars: int, boxed=()) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b): each support's check pattern in its sorted columns, supports in
+    order, then -x_i <= 0 and x_i <= 1 for each boxed index i."""
+    m = sum(2 ** (len(s) - 1) for s in supports)
+    boxed = np.asarray(boxed, dtype=int)
+    A = np.zeros((m + 2 * boxed.size, num_vars))
+    b = np.zeros(A.shape[0])
+    r = 0
+    for support in supports:
+        signs, rhs = _check_pattern(len(support))
+        A[r:r + rhs.size, sorted(support)] = signs
+        b[r:r + rhs.size] = rhs
+        r += rhs.size
+    box = m + 2 * np.arange(boxed.size)
+    A[box, boxed] = -1.0
+    A[box + 1, boxed] = 1.0
+    b[box + 1] = 1.0
+    A.flags.writeable = b.flags.writeable = False
+    return A, b
 
 
 def _var_names(n: int) -> list[str]:
     return [f"f_{i + 1}" for i in range(n)]
 
 
-def box_rows(indices) -> list[Row]:
-    """-x_i <= 0 and x_i <= 1 for each index, in index order."""
-    rows = []
-    for i in indices:
-        rows.append(Row({i: -1}, 0))
-        rows.append(Row({i: 1}, 1))
-    return rows
+def feldman_rows_for_check(support) -> Sequence[Row]:
+    """One inequality per odd subset S: +1 on S, -1 on support\\S, rhs |S|-1."""
+    support = tuple(sorted(support))
+    if not support:
+        raise RelaxationError("empty support")
+    n = support[-1] + 1
+    return ConstraintSystem(n, _stack([support], n), _var_names(n)).rows
 
 
 def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> ConstraintSystem:
     """Full odd-subset system, checks in order, each check's rows in odd_subsets order."""
-    rows: list[Row] = []
-    for support in H.rows:
-        rows.extend(feldman_rows_for_check(support))
-    if include_boxes:
-        rows.extend(box_rows(range(H.n)))
-    return ConstraintSystem(num_vars=H.n, rows=rows, var_names=_var_names(H.n),
-                            box_rows_included=include_boxes)
+    boxed = range(H.n) if include_boxes else ()
+    return ConstraintSystem(num_vars=H.n, arrays=_stack(H.rows, H.n, boxed),
+                            var_names=_var_names(H.n), box_rows_included=include_boxes)
 
 
 def decompose(H: ParityCheckMatrix, strict: bool = True) -> DecompositionResult:
@@ -228,22 +248,13 @@ def decomposed_system(D: DecompositionResult, n_original: int,
     """
     if n_original != D.n_original:
         raise RelaxationError(f"n_original mismatch: {n_original} != {D.n_original}")
-    rows: list[Row] = []
-    covered: set[int] = set()
-    for triple in D.checks3:
-        rows.extend(feldman_rows_for_check(triple))
-        covered.update(triple)
-    for _, support in D.passthrough:
-        rows.extend(feldman_rows_for_check(support))
-    box_included = False
-    if cover_boxes:
-        uncovered = [i for i in range(n_original) if i not in covered]
-        if uncovered:
-            rows.extend(box_rows(uncovered))
-            box_included = True
+    covered = {i for triple in D.checks3 for i in triple}
+    boxed = [i for i in range(n_original) if cover_boxes and i not in covered]
+    supports = D.checks3 + [support for _, support in D.passthrough]
     names = _var_names(n_original) + list(D.aux_names)
-    return ConstraintSystem(num_vars=D.extended_num_vars, rows=rows,
-                            var_names=names, box_rows_included=box_included)
+    return ConstraintSystem(num_vars=D.extended_num_vars,
+                            arrays=_stack(supports, D.extended_num_vars, boxed),
+                            var_names=names, box_rows_included=bool(boxed))
 
 
 def count_constraints(profile: DegreeProfile, n: int) -> ConstraintCounts:

@@ -10,12 +10,11 @@ import pytest
 
 from lpdecode.channel import Bsc
 from lpdecode.cli import main
-from lpdecode.codes import builtin_code, degree_profile
+from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile
 from lpdecode.decoder import brute_force_ml, decode
 from lpdecode.lpsolver import LinearProgram, solve
 from lpdecode.relaxation import (ConstraintSystem, count_constraints, decompose,
-                                 decomposed_system, feldman_rows_for_check,
-                                 feldman_system, odd_binomial_sum)
+                                 decomposed_system, feldman_system, odd_binomial_sum)
 from lpdecode.simulate import run_compare, run_simulate, sample_gamma
 
 from conftest import random_matrix
@@ -72,13 +71,11 @@ def test_criterion_3_box_implication():
         H = builtin_code(name)
         D = decompose(H)
         for triple in D.checks3:
-            rows = feldman_rows_for_check(triple)
-            remap = {v: k for k, v in enumerate(triple)}
-            local = ConstraintSystem(
-                num_vars=3,
-                rows=[type(r)(coeffs={remap[i]: c for i, c in r.coeffs.items()},
-                              rhs=r.rhs) for r in rows],
-                var_names=["a", "b", "c"])
+            # the triple's one-check system, with its columns in triple order
+            check = ParityCheckMatrix(n=max(triple) + 1, rows=(tuple(sorted(triple)),))
+            A, b = feldman_system(check).arrays
+            local = ConstraintSystem(num_vars=3, arrays=(A[:, list(triple)], b),
+                                     var_names=["a", "b", "c"])
             for v in range(3):
                 for sign in (1.0, -1.0):
                     c = [0.0, 0.0, 0.0]

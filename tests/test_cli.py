@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ import pytest
 
 import lpdecode
 from lpdecode import lpsolver
-from lpdecode.cli import main
+from lpdecode.cli import _counts_csv, main
 from lpdecode.codes import builtin_code, write_alist
+from lpdecode.simulate import run_compare
 
 
 def run(capsys, *argv):
@@ -55,6 +58,14 @@ class TestCounts:
         code, _ = run(capsys, "counts", "--code", str(path))
         assert code == 2
 
+    def test_out_replaces_longer_file(self, tmp_path, capsys):
+        _, out = run(capsys, "counts", "--code", "builtin:paper-example")
+        path = tmp_path / "counts.json"
+        path.write_text("x" * (2 * len(out)))
+        assert main(["counts", "--code", "builtin:paper-example", "--out", str(path)]) == 0
+        assert path.read_text() == out
+        assert main(["counts", "--code", "builtin:paper-example", "--out", os.devnull]) == 0
+
 
 class TestCompare:
     def test_small_compare(self, capsys):
@@ -77,6 +88,42 @@ class TestCompare:
                         "--num-gammas", "2", "--timing")
         assert code == 0
         assert "mean_wall_clock_ns" in json.loads(out)
+
+
+class TestCompareCsv:
+    ARGS = ("compare", "--code", "builtin:hamming-7-4", "--num-gammas", "4", "--seed", "2")
+
+    def test_csv_equals_json(self, capsys):
+        # one report in both formats, since wall-clock means differ from run to run
+        report = run_compare(builtin_code("hamming-7-4"), 4, 2, code_name="builtin:hamming-7-4")
+        rows = list(csv.reader(io.StringIO(_counts_csv(report, with_timing=True))))
+        assert rows[0] == ["field", "value"]
+        flat = {}
+        for k, v in report.to_json_dict(with_timing=True).items():
+            if isinstance(v, dict):
+                flat.update({f"{k}.{form}": str(x) for form, x in v.items()})
+            else:
+                flat[k] = str(v)
+        assert dict(rows[1:]) == flat
+        assert len(rows) == 1 + len(flat)
+        for field in ("mean_iterations", "mean_wall_clock_ns"):
+            assert {f"{field}.feldman", f"{field}.decomposed"} <= set(flat)
+        _, out = run(capsys, *self.ARGS, "--format", "csv", "--timing")
+        assert "\nmean_wall_clock_ns.decomposed," in out
+
+    def test_no_timing_rows_and_byte_identical(self, capsys):
+        _, first = run(capsys, *self.ARGS, "--format", "csv")
+        _, second = run(capsys, *self.ARGS, "--format", "csv")
+        assert first == second
+        assert "mean_iterations.feldman," in first
+        assert "mean_wall_clock_ns" not in first
+
+    def test_counts_csv_unchanged(self, capsys):
+        _, out = run(capsys, "counts", "--code", "builtin:paper-example", "--format", "csv")
+        assert out == ("field,value\nschema,1\ncode,builtin:paper-example\nn,4\nm,2\n"
+                       "feldman_parity_rows,8\nfeldman_box_rows,8\ndecomposed_rows,8\n"
+                       "aux_vars,0\ndegree3_checks,2\nmeasured_feldman_rows,16\n"
+                       "measured_decomposed_rows,8\nmeasured_aux_vars,0\n")
 
 
 class TestDecode:

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdecode import lpsolver
-from lpdecode.codes import builtin_code
+from lpdecode.codes import builtin_code, from_dense
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
                                is_integral, solve)
-from lpdecode.relaxation import (ConstraintSystem, Row, feldman_rows_for_check,
-                                 feldman_system)
+from lpdecode.relaxation import ConstraintSystem, feldman_system
 from lpdecode.simulate import sample_gamma
 
 from conftest import enumerate_vertices
@@ -19,9 +18,13 @@ NAN = float("nan")
 
 
 def make_cs(rows, num_vars):
+    """The system of (coeffs dict, rhs) rows, in the given order."""
+    A = np.zeros((len(rows), num_vars))
+    for r, (coeffs, _) in enumerate(rows):
+        A[r, list(coeffs)] = list(coeffs.values())
     return ConstraintSystem(
         num_vars=num_vars,
-        rows=[Row(coeffs=dict(c), rhs=r) for c, r in rows],
+        arrays=(A, np.array([rhs for _, rhs in rows], dtype=float)),
         var_names=[f"x{i}" for i in range(num_vars)],
     )
 
@@ -186,8 +189,7 @@ class TestSharedArrays:
     def test_phase1_solves_leave_the_system_intact(self):
         # with criterion 3's [-10, 10] bounds the start (-10, 10, -10) violates
         # these rows, so each solve pivots in phase 1, the dual loop
-        cs = ConstraintSystem(num_vars=3, rows=feldman_rows_for_check((0, 1, 2)),
-                              var_names=["a", "b", "c"])
+        cs = feldman_system(from_dense([[1, 1, 1]]))
         A0, b0 = (v.copy() for v in cs.arrays)
         lp = LinearProgram([1.0, -1.0, 0.5], cs, [(-10.0, 10.0)] * 3)
         first, second = solve(lp), solve(lp)

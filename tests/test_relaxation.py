@@ -108,6 +108,72 @@ class TestFeldmanSystem:
             assert cs.box_rows_included
 
 
+def oracle_dense(supports, num_vars, boxed=()):
+    """Dense (A, b) written out from brute_odd_subsets: per support in order,
+    +1 on S, -1 on the rest of the support, rhs |S|-1; then -x_i <= 0 and
+    x_i <= 1 for each boxed i."""
+    A, b = [], []
+    for support in supports:
+        for S in brute_odd_subsets(support):
+            row = [0.0] * num_vars
+            for i in support:
+                row[i] = 1.0 if i in S else -1.0
+            A.append(row)
+            b.append(len(S) - 1.0)
+    for i in boxed:
+        for sign, rhs in ((-1.0, 0.0), (1.0, 1.0)):
+            A.append([sign if j == i else 0.0 for j in range(num_vars)])
+            b.append(rhs)
+    return A, b
+
+
+def as_dense(row, num_vars):
+    return [float(row.coeffs.get(i, 0)) for i in range(num_vars)], float(row.rhs)
+
+
+class TestArrayBuilder:
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_one_check_against_powerset_oracle(self, d):
+        support = tuple(range(1, 2 * d, 2))
+        cs = feldman_system(ParityCheckMatrix(n=2 * d, rows=(support,)))
+        assert cs.dense() == oracle_dense([support], 2 * d)
+
+    @pytest.mark.parametrize("cover_boxes", [False, True])
+    def test_chain_against_oracle(self, cover_boxes):
+        rng = np.random.default_rng(606)
+        for _ in range(20):
+            H = random_matrix(rng, min_degree=1)
+            D = decompose(H, strict=False)
+            cs = decomposed_system(D, H.n, cover_boxes=cover_boxes)
+            covered = {i for triple in D.checks3 for i in triple}
+            boxed = [i for i in range(H.n) if i not in covered] if cover_boxes else []
+            supports = D.checks3 + [support for _, support in D.passthrough]
+            assert cs.dense() == oracle_dense(supports, D.extended_num_vars, boxed)
+            assert cs.box_rows_included == bool(boxed)
+
+    def test_arrays_read_only_float64(self):
+        H = builtin_code("hamming-7-4")
+        for cs in (feldman_system(H, include_boxes=True), decomposed_system(decompose(H), H.n)):
+            for v in cs.arrays:
+                assert v.dtype == np.float64 and not v.flags.writeable
+
+    def test_rows_view_agrees_with_dense(self):
+        cs = feldman_system(builtin_code("hamming-7-4"), include_boxes=True)
+        dense = list(zip(*cs.dense()))
+        rows = cs.rows
+        assert len(rows) == len(dense) == 24 + 14
+        assert [as_dense(r, cs.num_vars) for r in rows] == dense
+        assert as_dense(rows[-1], cs.num_vars) == dense[-1]
+        assert [as_dense(r, cs.num_vars) for r in rows[-2:]] == dense[-2:]
+        assert all(type(c) is int and c != 0 for r in rows for c in r.coeffs.values())
+        with pytest.raises(IndexError):
+            rows[len(dense)]
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(RelaxationError):
+            feldman_rows_for_check(())
+
+
 class TestDecompose:
     def test_degree3_identity(self):
         D = decompose(from_dense([[0, 1, 1, 1]]))
@@ -306,9 +372,7 @@ class TestCodewordGeometry:
 class TestBoxImplication:
     def test_triple_rows_imply_unit_box(self):
         # max/min each variable of a triple subject to only its 4 rows
-        from lpdecode.relaxation import ConstraintSystem
-        rows = feldman_rows_for_check((0, 1, 2))
-        cs = ConstraintSystem(num_vars=3, rows=rows, var_names=["a", "b", "c"])
+        cs = feldman_system(from_dense([[1, 1, 1]]))
         wide = [(-10.0, 10.0)] * 3
         for v in range(3):
             for sign in (1.0, -1.0):
