@@ -42,13 +42,18 @@ class Awgn:
 ChannelModel = Bsc | Awgn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostVector:
-    gammas: tuple[float, ...]
+    """Per-bit costs, stored as a read-only float64 copy of any finite 1-D sequence."""
+
+    gammas: np.ndarray
 
     def __post_init__(self):
-        if not all(math.isfinite(g) for g in self.gammas):
-            raise ChannelError("non-finite LLR in cost vector")
+        gammas = np.array(self.gammas, dtype=float)
+        if gammas.ndim != 1 or not np.isfinite(gammas).all():
+            raise ChannelError("costs must be a finite 1-D sequence")
+        gammas.flags.writeable = False
+        object.__setattr__(self, "gammas", gammas)
 
     def __len__(self):
         return len(self.gammas)
@@ -65,9 +70,10 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
 
 def transmit(codeword, ch: ChannelModel, seed: int, trial: int = 0) -> np.ndarray:
     """Send a 0/1 codeword through the channel; deterministic given (seed, trial)."""
-    x = np.asarray(codeword, dtype=int)
-    if not np.isin(x, (0, 1)).all():
+    x = np.asarray(codeword)
+    if not ((x == 0) | (x == 1)).all():
         raise ChannelError("codeword entries must be 0/1")
+    x = x.astype(int)
     rng = trial_rng(seed, trial)
     if isinstance(ch, Bsc):
         flips = rng.random(x.size) < ch.p
@@ -84,4 +90,4 @@ def llr_costs(received, ch: ChannelModel) -> CostVector:
         gammas = np.where(y == 0, mag, -mag)
     else:
         gammas = 2.0 * y / (ch.sigma ** 2)
-    return CostVector(gammas=tuple(float(g) for g in gammas))
+    return CostVector(gammas=gammas)

@@ -6,7 +6,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -50,7 +49,7 @@ def parse_channel(spec: str):
     raise InputError(f"unknown channel kind {kind!r}")
 
 
-def parse_gamma(spec: str, n: int) -> CostVector:
+def parse_gamma(spec: str) -> CostVector:
     """Comma-separated values, or @FILE with whitespace/comma-separated values."""
     if spec.startswith("@"):
         text = Path(spec[1:]).read_text().replace(",", " ")
@@ -61,11 +60,7 @@ def parse_gamma(spec: str, n: int) -> CostVector:
         vals = [float(p) for p in parts]
     except ValueError:
         raise InputError(f"non-numeric cost entry in {spec!r}") from None
-    if len(vals) != n:
-        raise InputError(f"expected {n} costs, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
-        raise InputError(f"non-finite cost entry in {spec!r}")
-    return CostVector(gammas=tuple(vals))
+    return CostVector(gammas=vals)
 
 
 def _emit(text: str, out: str | None):
@@ -80,7 +75,7 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _counts_csv(report, with_timing: bool = False) -> str:
+def _counts_csv(report, with_timing: bool) -> str:
     """(field, value) lines; a dict field gives one line per key, named field.key."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -93,13 +88,18 @@ def _counts_csv(report, with_timing: bool = False) -> str:
     return buf.getvalue()
 
 
+def _emit_report(report, args):
+    """A counts or compare report as CSV or JSON; only compare reports have timing fields."""
+    if args.format == "csv":
+        _emit(_counts_csv(report, args.timing), args.out)
+    else:
+        _emit(json.dumps(report.to_json_dict(with_timing=args.timing), indent=2) + "\n",
+              args.out)
+
+
 def cmd_counts(args) -> int:
     H = load_code(args.code)
-    report = run_counts(H, code_name=args.code)
-    if args.format == "csv":
-        _emit(_counts_csv(report), args.out)
-    else:
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    _emit_report(run_counts(H, code_name=args.code), args)
     return EXIT_OK
 
 
@@ -107,17 +107,13 @@ def cmd_compare(args) -> int:
     H = load_code(args.code)
     report = run_compare(H, args.num_gammas, args.seed, code_name=args.code,
                          all_positive=args.all_positive)
-    if args.format == "csv":
-        _emit(_counts_csv(report, args.timing), args.out)
-    else:
-        _emit(json.dumps(report.to_json_dict(with_timing=args.timing), indent=2) + "\n",
-              args.out)
+    _emit_report(report, args)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     H = load_code(args.code)
-    gamma = parse_gamma(args.gamma, H.n)
+    gamma = parse_gamma(args.gamma)
     outcome = decode(H, gamma, args.formulation)
     d = outcome.to_json_dict()
     if not args.timing:

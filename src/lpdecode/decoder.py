@@ -44,7 +44,7 @@ class DecodeOutcome:
     def to_json_dict(self) -> dict:
         return {
             "formulation": self.formulation,
-            "point": [float(v) for v in self.point],
+            "point": self.point.tolist(),
             "objective": self.objective,
             "integral": self.integral,
             "codeword": self.codeword,
@@ -83,8 +83,8 @@ def build_program(H: ParityCheckMatrix, gamma: CostVector,
     if len(gamma) != H.n:
         raise DecodeError(f"cost length {len(gamma)} != n {H.n}")
     cs = _compiled_system(H, formulation)
-    return lpsolver.LinearProgram(objective=list(gamma.gammas) + [0.0] * (cs.num_vars - H.n),
-                                  constraints=cs)
+    objective = np.concatenate([gamma.gammas, np.zeros(cs.num_vars - H.n)])
+    return lpsolver.LinearProgram(objective=objective, constraints=cs)
 
 
 def decode(H: ParityCheckMatrix, gamma: CostVector,
@@ -160,7 +160,7 @@ def brute_force_ml(H: ParityCheckMatrix, gamma: CostVector) -> tuple[list[int], 
     """Exhaustive argmin of Gamma.c over all codewords; lexicographic tie-break."""
     if len(gamma) != H.n:
         raise DecodeError(f"cost length {len(gamma)} != n {H.n}")
-    g = np.asarray(gamma.gammas)
+    g = gamma.gammas
     best = None
     best_obj = None
     for cw in codewords(H):
@@ -181,7 +181,7 @@ def fractional_witness(H: ParityCheckMatrix, seed: int = 0,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     for _ in range(max_draws):
         signs = rng.integers(0, 2, H.n) * 2 - 1
-        gamma = CostVector(gammas=tuple(float(s) for s in signs))
+        gamma = CostVector(gammas=signs)
         out = decode(H, gamma, "feldman")
         if not out.integral:
             return gamma, out.point

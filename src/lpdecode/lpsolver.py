@@ -32,7 +32,7 @@ own tableau and never writes it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +58,7 @@ class IterationLimitError(SolverError):
 
 @dataclass
 class LinearProgram:
-    objective: list[float]
+    objective: np.ndarray | Sequence[float]  # one cost per variable
     constraints: ConstraintSystem
     bounds: list[tuple[float, float]] | None = None  # default (0, 1) per variable
 
@@ -347,12 +347,7 @@ def is_integral(point, tol: float) -> tuple[bool, list[int] | None]:
     """True plus the rounded 0/1 vector iff every coordinate is within tol of 0 or 1."""
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tolerance must be in (0, 0.5), got {tol}")
-    rounded = []
-    for v in point:
-        if abs(v) <= tol:
-            rounded.append(0)
-        elif abs(v - 1.0) <= tol:
-            rounded.append(1)
-        else:
-            return False, None
-    return True, rounded
+    x = np.asarray(point, dtype=float)
+    if not ((np.abs(x) <= tol) | (np.abs(x - 1.0) <= tol)).all():
+        return False, None
+    return True, (x > 0.5).astype(int).tolist()

@@ -214,18 +214,11 @@ def decompose(H: ParityCheckMatrix, strict: bool = True) -> DecompositionResult:
                 raise DegreeTooLowError(f"check {j} has degree {d} < 3")
             passthrough.append((j, support))
             continue
-        if d == 3:
-            triple = (support[0], support[1], support[2])
-            checks3.append(triple)
-            provenance.append(j)
-            continue
         aux = list(range(next_aux, next_aux + d - 3))
         next_aux += d - 3
         aux_names.extend(f"z_{j + 1}_{k + 1}" for k in range(d - 3))
-        chain = [(support[0], support[1], aux[0])]
-        for k in range(1, d - 3):
-            chain.append((aux[k - 1], support[k + 1], aux[k]))
-        chain.append((aux[-1], support[d - 2], support[d - 1]))
+        ends = [support[0], *aux, support[-1]]
+        chain = list(zip(ends, support[1:-1], ends[1:]))
         checks3.extend(chain)
         provenance.extend([j] * len(chain))
     return DecompositionResult(

@@ -112,7 +112,7 @@ def sample_gamma(n: int, seed: int, trial: int, all_positive: bool = False) -> C
         vals = rng.uniform(0.1, 5.0, n)
     else:
         vals = rng.uniform(-5.0, 5.0, n)
-    return CostVector(gammas=tuple(float(v) for v in vals))
+    return CostVector(gammas=vals)
 
 
 def run_compare(H: ParityCheckMatrix, num_gammas: int, seed: int,

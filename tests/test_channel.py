@@ -21,8 +21,19 @@ class TestModels:
         Awgn(sigma=1e-9)
 
     def test_cost_vector_finite(self):
-        with pytest.raises(ChannelError):
-            CostVector(gammas=(float("inf"),))
+        for gammas in ((float("inf"),), [1.0, float("nan")], np.array([-np.inf, 0.0]),
+                       np.ones((2, 2))):
+            with pytest.raises(ChannelError):
+                CostVector(gammas=gammas)
+
+    def test_cost_vector_owns_read_only_float64(self):
+        source = np.array([1.5, -2.0, 3.0])
+        gamma = CostVector(gammas=source)
+        source[0] = 7.0
+        assert gamma.gammas.tolist() == [1.5, -2.0, 3.0]
+        assert CostVector(gammas=[1, -2]).gammas.dtype == np.float64
+        with pytest.raises(ValueError):
+            gamma.gammas[0] = 0.0
 
 
 class TestTransmit:
@@ -61,8 +72,9 @@ class TestTransmit:
         assert abs(frac - p) < 3 * sigma
 
     def test_non_binary_rejected(self):
-        with pytest.raises(ChannelError):
-            transmit([0, 2], Bsc(p=0.1), seed=0)
+        for codeword in ([0, 2], [0.5, 1], [1.7, 0]):
+            with pytest.raises(ChannelError):
+                transmit(codeword, Bsc(p=0.1), seed=0)
 
 
 class TestLlrCosts:

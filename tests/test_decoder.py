@@ -134,7 +134,7 @@ class TestDecode:
         again = build_program(ParityCheckMatrix(n=H.n, rows=H.rows),
                               sample_gamma(H.n, 5, 1), formulation)
         assert again.constraints is first.constraints
-        assert again.objective != first.objective
+        assert not np.array_equal(again.objective, first.objective)
         # the shared system solves exactly like one built for this LP alone
         fresh = (feldman_system(H) if formulation == "feldman"
                  else decomposed_system(decompose(H), H.n))
@@ -142,6 +142,18 @@ class TestDecode:
         b = lpsolver.solve(lpsolver.LinearProgram(again.objective, fresh))
         assert a.iterations == b.iterations
         assert np.array_equal(a.point, b.point)
+
+    @pytest.mark.parametrize("formulation", ["feldman", "decomposed"])
+    def test_cost_sequence_types_decode_alike(self, formulation):
+        H = builtin_code("ldpc-48-24")
+        vals = sample_gamma(H.n, 3, 0).gammas.tolist()
+        first, *rest = [decode(H, CostVector(gammas=g), formulation)
+                        for g in (tuple(vals), list(vals), np.array(vals))]
+        assert first.iterations > 0
+        for out in rest:
+            assert out.objective.hex() == first.objective.hex()
+            assert np.array_equal(out.point, first.point)
+            assert out.iterations == first.iterations
 
     def test_json_serialization(self):
         out = decode(PAPER, cost(1, -1, 1, -1))

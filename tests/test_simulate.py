@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lpdecode.channel import Bsc
@@ -48,7 +49,7 @@ class TestCompare:
 
 class TestSampleGamma:
     def test_deterministic(self):
-        assert sample_gamma(5, 1, 2).gammas == sample_gamma(5, 1, 2).gammas
+        assert np.array_equal(sample_gamma(5, 1, 2).gammas, sample_gamma(5, 1, 2).gammas)
 
     def test_all_positive(self):
         g = sample_gamma(40, 0, 0, all_positive=True)
