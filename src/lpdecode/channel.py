@@ -86,6 +86,8 @@ def llr_costs(received, ch: ChannelModel) -> CostVector:
     """Per-bit LLR weights gamma_i from the received vector."""
     y = np.asarray(received, dtype=float)
     if isinstance(ch, Bsc):
+        if not ((y == 0) | (y == 1)).all():
+            raise ChannelError("BSC received entries must be 0/1")
         mag = math.log((1.0 - ch.p) / ch.p)
         gammas = np.where(y == 0, mag, -mag)
     else:

@@ -151,39 +151,39 @@ def build_parser() -> argparse.ArgumentParser:
                                             "odd-subset relaxation vs degree-3 chain reformulation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, formats=("csv", "json")):
+    def add_common(sp, default_format, formats=("csv", "json")):
         sp.add_argument("--code", required=True,
                         help="alist file path or builtin:{paper-example,hamming-7-4,ldpc-48-24}")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=formats, default=None)
+        sp.add_argument("--format", choices=formats, default=default_format)
         sp.add_argument("--timing", action="store_true",
                         help="include wall-clock fields (breaks byte-identical reruns)")
 
     sp = sub.add_parser("counts", help="constraint-count table for both formulations")
-    add_common(sp)
-    sp.set_defaults(func=cmd_counts, default_format="json")
+    add_common(sp, "json")
+    sp.set_defaults(func=cmd_counts)
 
     sp = sub.add_parser("compare", help="solve both formulations on random costs")
-    add_common(sp)
+    add_common(sp, "json")
     sp.add_argument("--num-gammas", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--all-positive", action="store_true",
                     help="force positive costs (zero codeword optimal)")
-    sp.set_defaults(func=cmd_compare, default_format="json")
+    sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("decode", help="decode one cost vector")
-    add_common(sp, formats=("json",))
+    add_common(sp, "json", formats=("json",))
     sp.add_argument("--gamma", required=True, help="comma-separated costs or @FILE")
     sp.add_argument("--formulation", choices=FORMULATIONS, default="feldman")
-    sp.set_defaults(func=cmd_decode, default_format="json")
+    sp.set_defaults(func=cmd_decode)
 
     sp = sub.add_parser("simulate", help="Monte Carlo FER/BER trials")
-    add_common(sp)
+    add_common(sp, "csv")
     sp.add_argument("--channel", required=True, help="bsc:p or awgn:sigma")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--formulation", choices=FORMULATIONS + ("both",), default="feldman")
-    sp.set_defaults(func=cmd_simulate, default_format="csv")
+    sp.set_defaults(func=cmd_simulate)
 
     return p
 
@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(args)
     except lpsolver.IterationLimitError as e:

@@ -1,29 +1,25 @@
-"""Self-contained dual-then-primal simplex on a condensed, bounded-variable tableau.
+"""Self-contained dual simplex on a condensed, bounded-variable tableau.
 
-Solves min c.x subject to A.x <= b with per-variable bounds (default [0, 1]).
-Lower bounds are shifted out and every row gets a slack.  The tableau is in
-condensed (dictionary) form: one row per constraint plus the objective row,
-and one column per nonbasic variable plus the rhs.  Finite upper bounds are
-not rows; Dantzig's upper-bounding technique (Chvatal, Linear Programming,
-1983) handles them.  A nonbasic variable at its upper bound is held
-complemented (u - x), so every nonbasic variable sits at zero.
+Solves min c.x subject to A.x <= b with finite per-variable bounds (default
+[0, 1]).  Lower bounds are shifted out and every row gets a slack.  The
+tableau is in condensed (dictionary) form: one row per constraint plus the
+objective row, and one column per nonbasic variable plus the rhs.  Upper
+bounds are not rows; Dantzig's upper-bounding technique (Chvatal, Linear
+Programming, 1983) handles them.  A nonbasic variable at its upper bound is
+held complemented (u - x), so every nonbasic variable sits at zero.
 
 A solve starts with every variable at the bound its cost favours: a variable
-with a negative cost is complemented to its upper bound.  That start is dual
-feasible (for a decoding LP it is the hard decision), so Lemke's dual simplex
-only has to repair the rows it violates; a basic variable above its upper
-bound is complemented as it leaves.  A negative cost on an infinite upper
-bound counts as 0 until the dual phase ends, and the primal simplex then
-finishes from the feasible basis, where it can also find the LP unbounded.
-In the primal loop an entering variable that reaches its own bound first
-flips without a pivot, and a basic variable that leaves at its upper bound is
-complemented as it leaves.
+with a negative cost is complemented to its upper bound.  With every bound
+finite that start is dual feasible (for a decoding LP it is the hard
+decision), so Lemke's dual simplex only has to repair the rows it violates;
+a basic variable above its upper bound is complemented as it leaves.  The
+loop ends at an optimum or proves the LP infeasible, and `solve` checks that
+no reduced cost went negative on the way.
 
-The primal loop runs on Bland's rule throughout (lowest index enters and
-leaves), so it cannot cycle.  The dual loop falls back to Bland's rule after
-STALL_LIMIT pivots that make no progress.  Remaining ties break by lowest
-index, so the result is deterministic.  An optional trace callback receives
-one `TraceEvent` per iteration of either loop.
+The dual loop falls back to Bland's rule after STALL_LIMIT pivots that make
+no progress.  Remaining ties break by lowest index, so the result is
+deterministic.  An optional trace callback receives one `TraceEvent` per
+pivot.
 
 The constraint matrix comes from `ConstraintSystem.arrays`, which the system
 holds read-only and shares with every solve of it; `solve` copies it into its
@@ -70,19 +66,19 @@ class LinearProgram:
         if len(self.bounds) != n:
             raise DimensionError(f"{len(self.bounds)} bounds for {n} variables")
         lo, up = np.array(self.bounds, dtype=float).reshape(n, 2).T
-        # NaN fails both tests; an upper bound may be +inf, a lower bound
-        # must be finite because the solve shifts it out
-        bad = np.flatnonzero(~(np.isfinite(lo) & (lo <= up)))
+        # NaN fails every test; the solve shifts the lower bound out and may
+        # start a variable at its upper bound, so both must be finite
+        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(up) & (lo <= up)))
         if bad.size:
             i = bad[0]
-            raise DimensionError(f"variable {i}: bounds ({lo[i]}, {up[i]}) need a finite "
-                                 "lower bound no greater than the upper bound")
+            raise DimensionError(f"variable {i}: bounds ({lo[i]}, {up[i]}) must be finite, "
+                                 "the lower no greater than the upper")
         return lo, up
 
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | infeasible
     point: np.ndarray | None
     objective_value: float | None
     iterations: int = 0
@@ -109,26 +105,19 @@ def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, r: int, k: in
     basis[r], nonbasic[k] = nonbasic[k], basis[r]
 
 
-def _complement(T: np.ndarray, k: int, u: float) -> None:
-    """Substitute u - y for the nonbasic variable y of column k (a bound flip)."""
-    T[:, -1] -= u * T[:, k]
-    T[:, k] *= -1.0
-
-
 STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's rule
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One iteration of either loop, as passed to `solve`'s trace callback.
+    """One dual pivot, as passed to `solve`'s trace callback.
 
     Variables are numbered structural [0, n), then one slack per row.
     """
-    loop: str  # dual | primal
-    iteration: int  # counted from 0 across both loops
-    kind: str  # pivot | flip | leave-at-upper
-    entering: int  # the variable that enters the basis, or that flips
-    leaving: int | None  # the variable that leaves the basis; None for a flip
+    iteration: int  # counted from 0
+    kind: str  # pivot | leave-at-upper (the leaving variable was above its upper bound)
+    entering: int  # the variable that enters the basis
+    leaving: int  # the variable that leaves the basis
 
 
 TraceCallback = Callable[[TraceEvent], None]
@@ -200,7 +189,7 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         k = tied[np.argmin(nonbasic[tied])]
         entering = nonbasic[k]
         if trace is not None:
-            trace(TraceEvent("dual", it, "leave-at-upper" if at_upper else "pivot",
+            trace(TraceEvent(it, "leave-at-upper" if at_upper else "pivot",
                              int(entering), int(leaving)))
         _pivot(T, basis, nonbasic, r, k)
         ub[r] = upper[entering]
@@ -219,70 +208,10 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
                 use_bland = True
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-                 upper: np.ndarray, flipped: np.ndarray, start_iter: int,
-                 trace: TraceCallback | None = None) -> tuple[int, str]:
-    """Iterate from a feasible basis by Bland's rule until no reduced cost is negative.
-
-    Every nonbasic variable sits at zero (a variable at its upper bound is
-    held complemented, see `flipped`), so a negative reduced cost in the
-    objective row (last) means the column can improve the objective.  The
-    lowest variable index among those columns enters; the ratio test lets a
-    basic variable leave at either bound, and the lowest basic index among
-    the tied rows leaves.  Bland's rule cannot cycle.  When the entering
-    variable reaches its own upper bound first, it flips instead of pivoting,
-    and the flip counts as an iteration.  On a basis the dual phase left
-    optimal this returns at once.
-    """
-    m = T.shape[0] - 1
-    it = start_iter
-    while True:
-        negs = np.nonzero(T[-1, :-1] < -FEAS_TOL)[0]
-        if negs.size == 0:
-            return it, "optimal"
-        k = negs[np.argmin(nonbasic[negs])]
-        col = T[:m, k]
-        ub = upper[basis]
-        rhs = np.minimum(np.maximum(T[:m, -1], 0.0), ub)  # clamp roundoff past a bound
-        # a basic variable falls to 0 where col > 0 and rises to its upper
-        # bound where col < 0 (never, for an infinite one).  Prefer
-        # well-scaled pivot elements; fall back to tiny ones only if nothing
-        # better exists (guards against roundoff blow-up)
-        gap = np.where(col > 0.0, rhs, rhs - ub)
-        ratios = np.divide(gap, col, out=np.full(m, np.inf), where=np.abs(col) > 1e-7)
-        rmin = ratios.min(initial=np.inf)
-        if rmin == np.inf:
-            np.divide(gap, col, out=ratios, where=np.abs(col) > PIVOT_TOL)
-            rmin = ratios.min(initial=np.inf)
-        entering = nonbasic[k]
-        if upper[entering] <= rmin:
-            if upper[entering] == np.inf:
-                return it, "unbounded"
-            if trace is not None:
-                trace(TraceEvent("primal", it, "flip", int(entering), None))
-            _complement(T, k, upper[entering])
-            flipped[entering] ^= True
-        else:
-            tied = np.nonzero(ratios <= rmin + FEAS_TOL)[0]
-            r = tied[np.argmin(basis[tied])]
-            leaving = basis[r]
-            at_upper = col[r] < 0.0
-            if trace is not None:
-                trace(TraceEvent("primal", it, "leave-at-upper" if at_upper else "pivot",
-                                 int(entering), int(leaving)))
-            _pivot(T, basis, nonbasic, r, k)
-            if at_upper:
-                _complement(T, k, upper[leaving])
-                flipped[leaving] ^= True
-        it += 1
-        if it > MAX_ITER:
-            raise IterationLimitError(f"exceeded {MAX_ITER} pivots")
-
-
 def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
-    """Solve the program, returning an optimal vertex or infeasible/unbounded.
+    """Solve the program, returning an optimal vertex or infeasible.
 
-    `trace`, if given, is called with a `TraceEvent` for every iteration.
+    `trace`, if given, is called with a `TraceEvent` for every pivot.
     """
     cs = lp.constraints
     n = cs.num_vars
@@ -309,33 +238,20 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     T[-1, :n] = c
 
     # start at the bound each cost favours, so no reduced cost is negative: a
-    # negative cost complements its variable to the upper bound, or counts as
-    # 0 in the dual phase when that bound is infinite
-    shifted = np.nonzero((c < 0.0) & (upper[:n] == np.inf))[0]
-    high = np.nonzero((c < 0.0) & (upper[:n] < np.inf))[0]
+    # negative cost complements its variable to the upper bound
+    high = np.nonzero(c < 0.0)[0]
     T[:, -1] -= T[:, high] @ upper[high]
     T[:, high] *= -1.0
     flipped[high] = True
-    T[-1, shifted] = 0.0
 
     iters, status = _run_dual_simplex(T, basis, nonbasic, upper, flipped, trace)
     if status == "infeasible":
         return LpSolution(status="infeasible", point=None,
                           objective_value=None, iterations=iters)
-    if shifted.size:
-        # objective row from c, the basis and the complemented variables
-        cost = np.zeros(upper.size)
-        cost[:n] = c
-        const = float(cost[flipped] @ upper[flipped])
-        cost[flipped] *= -1.0
-        cb = cost[basis]
-        T[-1, :-1] = cost[nonbasic] - cb @ T[:m, :-1]
-        T[-1, -1] = -(const + cb @ T[:m, -1])
-
-    iters, status = _run_simplex(T, basis, nonbasic, upper, flipped, iters, trace)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", point=None,
-                          objective_value=None, iterations=iters)
+    if (T[-1, :-1] < -FEAS_TOL).any():
+        # the dual ratio test keeps every reduced cost nonnegative, so the
+        # feasible basis it ends on is optimal unless that invariant broke
+        raise SolverError("the dual simplex ended with a negative reduced cost")
     y = np.zeros(upper.size)
     y[basis] = T[:m, -1]
     x = np.where(flipped[:n], upper[:n] - y[:n], y[:n])

@@ -93,6 +93,11 @@ class TestLlrCosts:
         expected = math.log((1 - p) / p)
         assert all(abs(g) == pytest.approx(expected, abs=1e-12) for g in gamma.gammas)
 
+    def test_bsc_non_binary_rejected(self):
+        for received in ([0, 0.5, 2, float("nan")], [0, 2], [0.5], [-1, 1]):
+            with pytest.raises(ChannelError):
+                llr_costs(received, Bsc(p=0.1))
+
     def test_awgn_zero_received_is_erasure(self):
         gamma = llr_costs([0.0], Awgn(sigma=1.0))
         assert gamma.gammas[0] == 0.0

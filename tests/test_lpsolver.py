@@ -7,7 +7,7 @@ from lpdecode import lpsolver
 from lpdecode.codes import builtin_code, from_dense
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
-                               is_integral, solve)
+                               SolverError, is_integral, solve)
 from lpdecode.relaxation import ConstraintSystem, feldman_system
 from lpdecode.simulate import sample_gamma
 
@@ -58,12 +58,15 @@ class TestBasics:
         ([1.0], [(-INF, 5.0)]),
         ([1.0], [(NAN, 5.0)]),
         ([1.0], [(0.0, NAN)]),
+        ([-1.0], [(0.0, INF)]),
         ([INF], None),
         ([NAN], None),
-    ], ids=["infinite-lower", "nan-lower", "nan-upper", "infinite-cost", "nan-cost"])
+    ], ids=["infinite-lower", "nan-lower", "nan-upper", "infinite-upper", "infinite-cost",
+            "nan-cost"])
     def test_non_finite_input_rejected(self, c, bounds):
-        # the solve shifts lower bounds out and prices with the costs, so it
-        # has no answer for these; with x in (-inf, 5] min x is unbounded
+        # the solve shifts lower bounds out, starts a negative-cost variable at
+        # its upper bound and prices with the costs, so it rejects these; with
+        # x in (-inf, 5] min x is unbounded
         cs = make_cs([({0: 1}, 4)], 1)
         with pytest.raises(DimensionError):
             solve(LinearProgram(c, cs, bounds))
@@ -73,12 +76,6 @@ class TestBasics:
         cs = make_cs([({0: 1}, -1)], 1)
         sol = solve(LinearProgram([1.0], cs))
         assert sol.status == "infeasible"
-
-    def test_unbounded(self):
-        # min -x, x >= 0 unbounded above, only constraint -x <= 0
-        cs = make_cs([({0: -1}, 0)], 1)
-        sol = solve(LinearProgram([-1.0], cs, bounds=[(0.0, float("inf"))]))
-        assert sol.status == "unbounded"
 
     def test_negative_lower_bound(self):
         # min x with x in [-3, 5], constraint x <= 4
@@ -103,6 +100,21 @@ class TestBasics:
         monkeypatch.setattr(lpsolver, "MAX_ITER", 1)
         with pytest.raises(IterationLimitError):
             solve(LinearProgram(c, cs))
+
+    def test_negative_reduced_cost_raises(self, monkeypatch):
+        # the dual loop keeps every reduced cost nonnegative, so a feasible
+        # basis left with a negative one is a solver fault, not an optimum
+        run = lpsolver._run_dual_simplex
+
+        def spoiled(T, *args):
+            result = run(T, *args)
+            T[-1, 0] = -1.0
+            return result
+
+        monkeypatch.setattr(lpsolver, "_run_dual_simplex", spoiled)
+        with pytest.raises(SolverError) as exc:
+            solve(LinearProgram([1.0], make_cs([({0: 1}, 1)], 1)))
+        assert type(exc.value) is SolverError
 
 
 class TestAgainstVertexOracle:
@@ -144,33 +156,31 @@ class TestAgainstVertexOracle:
 
 
 class TestBoundedVariables:
-    # phase 1 is the dual loop, phase 2 the primal loop; `events` is the whole
-    # path as (loop, kind, entering, leaving), variables numbered structural
-    # first, then one slack per row.  Both optima are unique.
+    # `events` is the whole dual path as (kind, entering, leaving), variables
+    # numbered structural first, then one slack per row.  Both optima are
+    # unique.
     @pytest.mark.parametrize("c, rows, bounds, point, objective, events", [
-        # min -x - 2y, x + y <= 1, x in [0, 2], y in [0, inf): the start puts x
-        # at 2 (held complemented) and counts y's cost as 0; the dual pivot
-        # brings x into the violated row at 1, then with y's cost restored y
-        # enters and drives the basic x down to 0, the upper bound of 2 - x
-        ([-1.0, -2.0], [({0: 1, 1: 1}, 1)], [(0.0, 2.0), (0.0, INF)],
+        # min -x - 2y, x + y <= 1, x in [0, 2], y in [0, 3]: the start puts x
+        # at 2 and y at 3 (both held complemented); x enters the violated row,
+        # but even x = 0 leaves it violated while y is 3, so x leaves at 0,
+        # the upper bound of 2 - x, as y enters
+        ([-1.0, -2.0], [({0: 1, 1: 1}, 1)], [(0.0, 2.0), (0.0, 3.0)],
          [0.0, 1.0], -2.0,
-         [("dual", "pivot", 0, 2), ("primal", "leave-at-upper", 1, 0)]),
-        # min -a + 2b - z, a - 2z <= 3, -b + z <= -1, a, b in [-2, inf) and
-        # [-1, inf), z in [-1, 0]: z starts at 0 (held complemented) and a's
-        # cost counts as 0; z enters the violated row and falls past -1, so
-        # it leaves there, at the upper bound of 0 - z, as b enters; then a
-        # enters and z flips back to 0
+         [("pivot", 0, 2), ("leave-at-upper", 1, 0)]),
+        # min -a + 2b - z, a - 2z <= 3, -b + z <= -1, a in [-2, 4], b in
+        # [-1, 1], z in [-1, 0]: the start (4, -1, 0) violates both rows; z
+        # and then b enter them, which leaves b above its upper bound of 1, so
+        # it leaves there as a enters
         ([-1.0, 2.0, -1.0], [({0: 1, 2: -2}, 3), ({1: -1, 2: 1}, -1)],
-         [(-2.0, INF), (-1.0, INF), (-1.0, 0.0)],
+         [(-2.0, 4.0), (-1.0, 1.0), (-1.0, 0.0)],
          [3.0, 1.0, 0.0], -1.0,
-         [("dual", "pivot", 2, 4), ("dual", "leave-at-upper", 1, 2),
-          ("primal", "pivot", 0, 3), ("primal", "flip", 2, None)]),
-    ], ids=["phase2", "phase1-with-flip"])
+         [("pivot", 2, 4), ("pivot", 1, 3), ("leave-at-upper", 0, 1)]),
+    ], ids=["one-row", "two-rows"])
     def test_basic_variable_leaves_at_upper_bound(self, c, rows, bounds,
                                                   point, objective, events):
         trace = []
         sol = solve(LinearProgram(c, make_cs(rows, len(c)), bounds), trace=trace.append)
-        assert [(e.loop, e.kind, e.entering, e.leaving) for e in trace] == events
+        assert [(e.kind, e.entering, e.leaving) for e in trace] == events
         assert [e.iteration for e in trace] == list(range(len(events)))
         assert sol.iterations == len(events)
         assert sol.status == "optimal"
@@ -188,7 +198,7 @@ class TestSharedArrays:
 
     def test_phase1_solves_leave_the_system_intact(self):
         # with criterion 3's [-10, 10] bounds the start (-10, 10, -10) violates
-        # these rows, so each solve pivots in phase 1, the dual loop
+        # these rows, so each solve pivots
         cs = feldman_system(from_dense([[1, 1, 1]]))
         A0, b0 = (v.copy() for v in cs.arrays)
         lp = LinearProgram([1.0, -1.0, 0.5], cs, [(-10.0, 10.0)] * 3)
@@ -217,15 +227,14 @@ class TestAgainstHighs:
 
 @st.composite
 def general_lps(draw):
-    """1-5 variables, 1-7 integer rows, bounds from -4 to +inf, integer costs."""
+    """1-5 variables, 1-7 integer rows, bounds from -4 to +6, integer costs."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 7))
     A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=m, max_size=m))
     b = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
     lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
-    width = draw(st.lists(st.one_of(st.integers(0, 4), st.just(INF)),
-                          min_size=n, max_size=n))
+    width = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     c = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     return (np.array(A, dtype=float), np.array(b, dtype=float),
             [(float(l), l + w) for l, w in zip(lo, width)], [float(v) for v in c])
@@ -240,31 +249,22 @@ class TestAgainstHighsGeneral:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(general_lps())
     def test_general_lps(self, lp):
-        # negative costs on infinite bounds make the solve shift a cost, then
-        # finish in the primal loop, where it may find the LP unbounded
+        # every bound is finite, so each LP is optimal or infeasible
         linprog = pytest.importorskip("scipy.optimize").linprog
         A, b, bounds, c = lp
-        highs_bounds = [(lo, None if up == INF else up) for lo, up in bounds]
-        ref = linprog(c, A_ub=A, b_ub=b, bounds=highs_bounds, method="highs")
+        ref = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
         sol = solve_dense(A, b, bounds, c)
-        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
-        if expected == "infeasible" and sol.status != "infeasible":
-            # HiGHS may call a feasible, unbounded LP infeasible
-            assert linprog(np.zeros(len(c)), A_ub=A, b_ub=b, bounds=highs_bounds,
-                           method="highs").status == 0
-        else:
-            assert sol.status == expected
+        assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
         if sol.status == "optimal":
-            if expected == "optimal":
-                assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
             x = sol.point
             assert np.all(A @ x <= b + 1e-9)
             assert all(lo - 1e-9 <= v <= up + 1e-9 for v, (lo, up) in zip(x, bounds))
 
 
 class TestAntiCycling:
-    # the primal loop always runs on Bland's rule; STALL_LIMIT = 1 puts the
-    # dual loop on it after any pivot that does not move the objective
+    # STALL_LIMIT = 1 puts the dual loop on Bland's rule after any pivot that
+    # does not move the objective
 
     def test_bland_rule_keeps_formulations_equal(self, monkeypatch):
         monkeypatch.setattr(lpsolver, "STALL_LIMIT", 1)
@@ -276,46 +276,45 @@ class TestAntiCycling:
                 assert f.status == d.status == "optimal"
                 assert abs(f.objective_value - d.objective_value) <= 1e-7
 
-    def test_bland_rule_in_the_primal_loop(self, monkeypatch):
-        # shifted costs leave the primal loop work to do after the dual phase;
+    def test_bland_rule_in_the_dual_loop(self, monkeypatch):
         # the dual loop under STALL_LIMIT = 1 must reach the same status and
-        # objective as under the default limit
+        # objective as under the default limit, on a path of its own for some
         rng = np.random.default_rng(7)
         lps = []
         for _ in range(300):
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
             lo = rng.integers(-4, 1, n).astype(float)
-            up = np.where(rng.random(n) < 0.5, INF, lo + rng.integers(0, 5, n))
+            up = lo + rng.integers(0, 5, n)
             lps.append((rng.integers(-3, 4, (m, n)).astype(float),
                         rng.integers(-1, 5, m).astype(float),
                         list(zip(lo, up)), list(rng.integers(-3, 4, n).astype(float))))
-        reference = [solve_dense(*lp) for lp in lps]
-        monkeypatch.setattr(lpsolver, "STALL_LIMIT", 1)
-        primal = 0
-        for lp, ref in zip(lps, reference):
+
+        def traced(lp):
             trace = []
-            sol = solve_dense(*lp, trace=trace.append)
-            primal += sum(e.loop == "primal" for e in trace)
+            return solve_dense(*lp, trace=trace.append), trace
+
+        reference = [traced(lp) for lp in lps]
+        monkeypatch.setattr(lpsolver, "STALL_LIMIT", 1)
+        differ = 0
+        for lp, (ref, ref_trace) in zip(lps, reference):
+            sol, trace = traced(lp)
+            differ += trace != ref_trace
             assert sol.status == ref.status
             if sol.status == "optimal":
                 assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
-        assert primal > 0
+        assert differ > 0
 
-
-    def test_primal_loop_on_beales_cycling_lp(self):
-        # Beale's LP cycles under Dantzig's most-negative-cost rule; every
-        # variable is in [0, inf) and x = 0 is feasible, so the dual loop does
-        # nothing and the negative costs of a and c are restored for the
-        # primal loop, which Bland's rule takes to the optimum in six pivots
+    def test_dual_loop_on_beales_cycling_lp(self):
+        # Beale's LP cycles under Dantzig's primal most-negative-cost rule; on
+        # [0, 10] bounds the start puts a and c at 10, which violates only
+        # c <= 1, and the dual loop reaches the optimum in two pivots
         rows = [({0: 0.25, 1: -8, 2: -1, 3: 9}, 0), ({0: 0.5, 1: -12, 2: -0.5, 3: 3}, 0),
                 ({2: 1}, 1)]
         trace = []
-        sol = solve(LinearProgram([-0.75, 20.0, -0.5, 6.0], make_cs(rows, 4), [(0.0, INF)] * 4),
+        sol = solve(LinearProgram([-0.75, 20.0, -0.5, 6.0], make_cs(rows, 4), [(0.0, 10.0)] * 4),
                     trace=trace.append)
-        assert [(e.loop, e.kind, e.entering, e.leaving) for e in trace] == [
-            ("primal", "pivot", 0, 4), ("primal", "pivot", 1, 5),
-            ("primal", "pivot", 2, 0), ("primal", "pivot", 3, 1),
-            ("primal", "pivot", 0, 6), ("primal", "pivot", 4, 3)]
+        assert [(e.kind, e.entering, e.leaving) for e in trace] == [
+            ("pivot", 2, 6), ("pivot", 0, 5)]
         assert sol.status == "optimal"
         assert sol.point == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
         assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
