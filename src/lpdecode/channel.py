@@ -35,8 +35,8 @@ class Awgn:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ChannelError(f"AWGN sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ChannelError(f"AWGN sigma must be finite and positive, got {self.sigma}")
 
 
 ChannelModel = Bsc | Awgn

@@ -11,15 +11,14 @@ import sys
 from pathlib import Path
 
 from . import lpsolver
-from .channel import Awgn, Bsc, ChannelError, CostVector
-from .codes import CodeError, ParityCheckMatrix, builtin_code, parse_alist
+from .channel import Awgn, Bsc, CostVector
+from .codes import ParityCheckMatrix, builtin_code, parse_alist
 from .decoder import FORMULATIONS, DecodeError, decode
-from .relaxation import RelaxationError
 from .simulate import TrialRecord, run_compare, run_counts, run_simulate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_SOLVER_CAP = 3
+EXIT_SOLVER = 3
 
 
 class InputError(Exception):
@@ -193,11 +192,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except lpsolver.IterationLimitError as e:
+    except lpsolver.SolverError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER_CAP
-    except (InputError, CodeError, ChannelError, RelaxationError, DecodeError,
-            ValueError, OSError) as e:
+        return EXIT_SOLVER
+    except (InputError, DecodeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -23,13 +24,18 @@ class ParityCheckMatrix:
     """Sparse binary m x n matrix over GF(2), stored as per-check column supports.
 
     ``rows[j]`` is the strictly increasing tuple of column indices where check j
-    has a 1.  Indices are 0-based.
+    has a 1.  Indices are 0-based; rows given as lists are stored as tuples.
     """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        try:
+            rows = tuple(tuple(operator.index(i) for i in row) for row in self.rows)
+        except TypeError as e:
+            raise CodeError(f"check rows must be sequences of integer indices: {e}") from None
+        object.__setattr__(self, "rows", rows)
         if self.n < 1:
             raise CodeError(f"need at least one column, got n={self.n}")
         if len(self.rows) < 1:

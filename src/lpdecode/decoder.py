@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpsolver
-from .channel import CostVector
+from .channel import CostVector, trial_rng
 from .codes import ParityCheckMatrix
 from .relaxation import ConstraintSystem, decompose, decomposed_system, feldman_system
 
@@ -96,7 +96,7 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
     elapsed = time.monotonic_ns() - t0
     if sol.status != "optimal":
         # the all-zero point is always feasible, so this indicates a solver bug
-        raise DecodeError(f"solver returned {sol.status} on a valid decoding LP")
+        raise lpsolver.SolverError(f"solver returned {sol.status} on a valid decoding LP")
     point = sol.point[:H.n]
     integral, rounded = lpsolver.is_integral(point, INTEGRALITY_TOL)
     certified = bool(integral and is_codeword(H, rounded))
@@ -178,7 +178,7 @@ class WitnessSearchExhausted(Exception):
 def fractional_witness(H: ParityCheckMatrix, seed: int = 0,
                        max_draws: int = 10_000) -> tuple[CostVector, np.ndarray]:
     """Search signed unit cost vectors for one whose LP optimum is non-integral."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+    rng = trial_rng(seed)
     for _ in range(max_draws):
         signs = rng.integers(0, 2, H.n) * 2 - 1
         gamma = CostVector(gammas=signs)

@@ -10,7 +10,7 @@ import numpy as np
 from .channel import Bsc, ChannelModel, CostVector, llr_costs, transmit, trial_rng
 from .codes import ParityCheckMatrix, degree_profile
 from .decoder import FORMULATIONS, DecodeOutcome, decode
-from .relaxation import (ConstraintCounts, count_constraints, decompose,
+from .relaxation import (ConstraintCounts, RelaxationError, count_constraints, decompose,
                          decomposed_system, feldman_system)
 
 SCHEMA_VERSION = 1
@@ -86,17 +86,16 @@ class ComparisonReport:
 
 def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
     """Formula counts cross-checked against actually generated systems."""
-    prof = degree_profile(H)
-    counts = count_constraints(prof, H.n)
-    fs = feldman_system(H, include_boxes=True)
+    counts = count_constraints(degree_profile(H), H.n)
     D = decompose(H)
-    ds = decomposed_system(D, H.n, cover_boxes=False)
-    measured_f = len(fs.rows)
-    measured_d = len(ds.rows)
-    assert measured_f == counts.feldman_parity_rows + counts.feldman_box_rows
-    assert measured_d == counts.decomposed_rows
-    assert D.aux_count == counts.aux_vars
-    assert len(D.checks3) == counts.degree3_checks
+    measured_f = len(feldman_system(H, include_boxes=True).rows)
+    measured_d = len(decomposed_system(D, H.n, cover_boxes=False).rows)
+    formula = (counts.feldman_parity_rows + counts.feldman_box_rows, counts.decomposed_rows,
+               counts.aux_vars, counts.degree3_checks)
+    measured = (measured_f, measured_d, D.aux_count, len(D.checks3))
+    if measured != formula:
+        raise RelaxationError("(feldman rows, decomposed rows, aux vars, degree-3 checks): "
+                              f"{formula} by formula, {measured} in the generated systems")
     return ComparisonReport(
         code=code_name, n=H.n, m=H.m, counts=counts,
         measured_feldman_rows=measured_f,
@@ -115,28 +114,32 @@ def sample_gamma(n: int, seed: int, trial: int, all_positive: bool = False) -> C
     return CostVector(gammas=vals)
 
 
+def _decode_trials(H: ParityCheckMatrix, costs, trials: int, formulations: tuple[str, ...]):
+    """Yield (t, {formulation: outcome}) for each t < trials, all decoding the costs costs(t)."""
+    for t in range(trials):
+        gamma = costs(t)
+        yield t, {form: decode(H, gamma, form) for form in formulations}
+
+
 def run_compare(H: ParityCheckMatrix, num_gammas: int, seed: int,
                 code_name: str = "", all_positive: bool = False) -> ComparisonReport:
-    """Solve both formulations on shared random costs; report the worst objective gap."""
+    """Solve every formulation on shared random costs; report the worst objective gap."""
     if num_gammas < 1:
         raise ValueError("num_gammas must be >= 1")
     report = run_counts(H, code_name)
     report.num_gammas = num_gammas
     report.seed = seed
-    iters = {"feldman": [], "decomposed": []}
-    clocks = {"feldman": [], "decomposed": []}
-    max_gap = 0.0
-    for t in range(num_gammas):
-        gamma = sample_gamma(H.n, seed, t, all_positive)
-        out_f = decode(H, gamma, "feldman")
-        out_d = decode(H, gamma, "decomposed")
-        max_gap = max(max_gap, abs(out_f.objective - out_d.objective))
-        for name, out in (("feldman", out_f), ("decomposed", out_d)):
-            iters[name].append(out.iterations)
-            clocks[name].append(out.wall_clock_ns)
-    report.max_objective_gap = max_gap
-    report.mean_iterations = {k: sum(v) / len(v) for k, v in iters.items()}
-    report.mean_wall_clock_ns = {k: sum(v) / len(v) for k, v in clocks.items()}
+    iters = dict.fromkeys(FORMULATIONS, 0)
+    clocks = dict.fromkeys(FORMULATIONS, 0)
+    for _, outcomes in _decode_trials(H, lambda t: sample_gamma(H.n, seed, t, all_positive),
+                                      num_gammas, FORMULATIONS):
+        objectives = [out.objective for out in outcomes.values()]
+        report.max_objective_gap = max(report.max_objective_gap, max(objectives) - min(objectives))
+        for form, out in outcomes.items():
+            iters[form] += out.iterations
+            clocks[form] += out.wall_clock_ns
+    report.mean_iterations = {form: total / num_gammas for form, total in iters.items()}
+    report.mean_wall_clock_ns = {form: total / num_gammas for form, total in clocks.items()}
     return report
 
 
@@ -157,13 +160,8 @@ def _channel_id(ch: ChannelModel) -> str:
     return f"awgn:{ch.sigma:g}"
 
 
-def _trial_record(H: ParityCheckMatrix, out: DecodeOutcome, trial: int, seed: int,
-                  ch: ChannelModel, sent: np.ndarray) -> TrialRecord:
-    if out.integral:
-        decided = np.asarray(out.codeword)
-    else:
-        decided = (np.asarray(out.point) > 0.5).astype(int)
-    bit_errors = int(np.sum(decided != sent))
+def _trial_record(out: DecodeOutcome, trial: int, seed: int, ch: ChannelModel) -> TrialRecord:
+    bit_errors = int(np.count_nonzero(out.point > 0.5))  # against the all-zero word sent
     frame_error = (not out.integral) or bool(bit_errors)
     return TrialRecord(
         trial=trial, seed=seed, channel=_channel_id(ch), sent="zero",
@@ -184,15 +182,12 @@ def run_simulate(H: ParityCheckMatrix, ch: ChannelModel, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    formulations = list(FORMULATIONS) if formulation == "both" else [formulation]
+    formulations = FORMULATIONS if formulation == "both" else (formulation,)
     sent = np.zeros(H.n, dtype=int)
-    records: list[TrialRecord] = []
-    for t in range(trials):
-        received = transmit(sent, ch, seed, t)
-        gamma = llr_costs(received, ch)
-        for form in formulations:
-            out = decode(H, gamma, form)
-            records.append(_trial_record(H, out, t, seed, ch, sent))
+    records = [_trial_record(out, t, seed, ch)
+               for t, outcomes in _decode_trials(
+                   H, lambda t: llr_costs(transmit(sent, ch, seed, t), ch), trials, formulations)
+               for out in outcomes.values()]
     summary = {"schema": SCHEMA_VERSION, "channel": _channel_id(ch),
                "trials": trials, "seed": seed, "n": H.n, "per_formulation": {}}
     for form in formulations:

@@ -16,8 +16,9 @@ class TestModels:
         Bsc(p=0.499)
 
     def test_awgn_range(self):
-        with pytest.raises(ChannelError):
-            Awgn(sigma=0.0)
+        for sigma in (0.0, math.inf, math.nan):
+            with pytest.raises(ChannelError):
+                Awgn(sigma=sigma)
         Awgn(sigma=1e-9)
 
     def test_cost_vector_finite(self):

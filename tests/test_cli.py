@@ -175,6 +175,23 @@ class TestDecode:
         code, _ = run(capsys, *args)
         assert code == 3
 
+    @pytest.mark.parametrize("fault", ["negative-reduced-cost", "infeasible"])
+    def test_solver_fault_exit_code(self, capsys, monkeypatch, fault):
+        # any solver fault, not only the iteration cap, exits 3 instead of escaping main
+        run_dual = lpsolver._run_dual_simplex
+
+        def spoiled(T, *args):
+            iters, status = run_dual(T, *args)
+            if fault == "infeasible":
+                return iters, "infeasible"
+            T[-1, 0] = -1.0
+            return iters, status
+
+        monkeypatch.setattr(lpsolver, "_run_dual_simplex", spoiled)
+        code, out = run(capsys, "decode", "--code", "builtin:hamming-7-4",
+                        "--gamma", "1,1,1,1,1,1,-1")
+        assert code == 3 and out == ""
+
 
 class TestSimulate:
     def test_csv_stream(self, capsys):
@@ -239,6 +256,12 @@ class TestSimulate:
         code, _ = run(capsys, "simulate", "--code", "builtin:paper-example",
                       "--channel", "bsc:0.7", "--trials", "1")
         assert code == 2
+
+    def test_non_finite_awgn_sigma(self, capsys):
+        code = main(["simulate", "--code", "builtin:paper-example",
+                     "--channel", "awgn:inf", "--trials", "1"])
+        assert code == 2
+        assert "AWGN sigma" in capsys.readouterr().err
 
     def test_unparsable_channel(self, capsys):
         code, _ = run(capsys, "simulate", "--code", "builtin:paper-example",

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from lpdecode.codes import (AlistFormatError, CodeError, ParityCheckMatrix,
                             UnknownCodeError, builtin_code, degree_profile,
                             from_dense, parse_alist, write_alist)
-from lpdecode.decoder import codewords
+from lpdecode.channel import CostVector
+from lpdecode.decoder import codewords, decode
 
 from conftest import random_matrix
 
@@ -55,6 +56,17 @@ class TestMatrixInvariants:
     def test_empty_row(self):
         with pytest.raises(CodeError):
             ParityCheckMatrix(n=3, rows=((),))
+
+    def test_list_rows_stored_as_tuples(self):
+        listed = ParityCheckMatrix(n=3, rows=[[0, 1, 2]])
+        tupled = ParityCheckMatrix(n=3, rows=((0, 1, 2),))
+        assert listed.rows == ((0, 1, 2),)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert decode(listed, CostVector(gammas=[1.0, -1.0, 1.0])).integral
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(CodeError):
+            ParityCheckMatrix(n=3, rows=[[0, 1.0, 2]])
 
 
 class TestDegreeProfile:

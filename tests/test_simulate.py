@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lpdecode import simulate
 from lpdecode.channel import Bsc
 from lpdecode.codes import builtin_code
+from lpdecode.decoder import FORMULATIONS, decode
+from lpdecode.relaxation import RelaxationError
 from lpdecode.simulate import (run_compare, run_counts, run_simulate,
                                sample_gamma, wilson_interval)
 
@@ -26,6 +31,18 @@ class TestCounts:
         assert rep.measured_decomposed_rows == 384
         assert rep.measured_aux_vars == 72
 
+    def test_formula_mismatch_raises(self, monkeypatch):
+        # a plain check, not an assert, so it also holds under python -O
+        count = simulate.count_constraints
+
+        def overcount(*args):
+            counts = count(*args)
+            return dataclasses.replace(counts, decomposed_rows=counts.decomposed_rows + 1)
+
+        monkeypatch.setattr(simulate, "count_constraints", overcount)
+        with pytest.raises(RelaxationError, match="385.*384"):
+            run_counts(builtin_code("ldpc-48-24"))
+
     def test_json_schema(self):
         d = run_counts(PAPER, "paper-example").to_json_dict()
         assert d["schema"] == 1
@@ -41,6 +58,17 @@ class TestCompare:
     def test_all_positive_forces_zero(self):
         rep = run_compare(HAMMING, 1, seed=0, all_positive=True)
         assert rep.max_objective_gap == 0.0
+
+    @pytest.mark.parametrize("name", ["hamming-7-4", "ldpc-48-24"])
+    def test_aggregates_match_direct_decodes(self, name):
+        H = builtin_code(name)
+        rep = run_compare(H, 5, seed=3)
+        outs = [{form: decode(H, sample_gamma(H.n, 3, t), form) for form in FORMULATIONS}
+                for t in range(5)]
+        assert rep.mean_iterations == {
+            form: sum(o[form].iterations for o in outs) / 5 for form in FORMULATIONS}
+        assert rep.max_objective_gap == max(
+            abs(o["feldman"].objective - o["decomposed"].objective) for o in outs)
 
     def test_bad_num_gammas(self):
         with pytest.raises(ValueError):
