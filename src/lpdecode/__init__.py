@@ -7,8 +7,7 @@ from .codes import (DegreeProfile, ParityCheckMatrix, builtin_code, degree_profi
 from .decoder import DecodeOutcome, brute_force_ml, decode, fractional_witness
 from .lpsolver import LinearProgram, LpSolution, is_integral, solve
 from .relaxation import (ConstraintCounts, ConstraintSystem, DecompositionResult,
-                         count_constraints, decompose, decomposed_system,
-                         feldman_rows_for_check, feldman_system, odd_subsets)
+                         count_constraints, decompose, decomposed_system, feldman_system)
 
 __all__ = [
     "Awgn", "Bsc", "CostVector", "llr_costs", "transmit",
@@ -17,8 +16,7 @@ __all__ = [
     "DecodeOutcome", "brute_force_ml", "decode", "fractional_witness",
     "LinearProgram", "LpSolution", "is_integral", "solve",
     "ConstraintCounts", "ConstraintSystem", "DecompositionResult",
-    "count_constraints", "decompose", "decomposed_system",
-    "feldman_rows_for_check", "feldman_system", "odd_subsets",
+    "count_constraints", "decompose", "decomposed_system", "feldman_system",
 ]
 
 __version__ = "0.1.0"

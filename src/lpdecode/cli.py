@@ -14,7 +14,7 @@ from . import lpsolver
 from .channel import Awgn, Bsc, CostVector
 from .codes import ParityCheckMatrix, builtin_code, parse_alist
 from .decoder import FORMULATIONS, DecodeError, decode
-from .simulate import TrialRecord, run_compare, run_counts, run_simulate
+from .simulate import CountsMismatchError, TrialRecord, run_compare, run_counts, run_simulate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except lpsolver.SolverError as e:
+    except (lpsolver.SolverError, CountsMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except (InputError, DecodeError, ValueError, OSError) as e:

@@ -32,6 +32,10 @@ class ParityCheckMatrix:
 
     def __post_init__(self):
         try:
+            operator.index(self.n)
+        except TypeError:
+            raise CodeError(f"n must be an integer, got {self.n!r}") from None
+        try:
             rows = tuple(tuple(operator.index(i) for i in row) for row in self.rows)
         except TypeError as e:
             raise CodeError(f"check rows must be sequences of integer indices: {e}") from None

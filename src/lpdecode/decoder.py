@@ -72,7 +72,7 @@ def _compiled_system(H: ParityCheckMatrix, formulation: str) -> ConstraintSystem
     """
     if formulation == "feldman":
         return feldman_system(H, include_boxes=False)
-    return decomposed_system(decompose(H, strict=False), H.n, cover_boxes=False)
+    return decomposed_system(decompose(H), H.n)
 
 
 def build_program(H: ParityCheckMatrix, gamma: CostVector,

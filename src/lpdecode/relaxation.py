@@ -14,9 +14,8 @@ variable covered by a degree-3 block.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -30,7 +29,7 @@ class RelaxationError(ValueError):
 
 
 class DegreeTooLowError(RelaxationError):
-    """Check degree below 3 in strict mode."""
+    """Check degree below 3, which the closed-form counts do not cover."""
 
 
 @dataclass(slots=True)
@@ -68,8 +67,6 @@ class ConstraintSystem:
 
     num_vars: int
     arrays: tuple[np.ndarray, np.ndarray]
-    var_names: list[str]
-    box_rows_included: bool = False
 
     @property
     def rows(self) -> Sequence[Row]:
@@ -80,46 +77,21 @@ class ConstraintSystem:
         A, b = self.arrays
         return A.tolist(), b.tolist()
 
-    def to_text(self) -> str:
-        lines = []
-        for row in self.rows:
-            terms = " ".join(f"{c:+d}*{self.var_names[i]}"
-                             for i, c in sorted(row.coeffs.items()))
-            lines.append(f"{terms} <= {row.rhs}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        obj = {
-            "num_vars": self.num_vars,
-            "var_names": self.var_names,
-            "box_rows_included": self.box_rows_included,
-            "rows": [
-                {"coeffs": [[i, c] for i, c in sorted(row.coeffs.items())],
-                 "rhs": row.rhs}
-                for row in self.rows
-            ],
-        }
-        return json.dumps(obj, indent=2)
-
 
 @dataclass
 class DecompositionResult:
     """Chain decomposition of all checks into degree-3 triples.
 
     Auxiliary variables are appended after the n originals, check-major then
-    chain order.  ``provenance[k]`` is the index of the check that
-    ``checks3[k]`` came from; two checks may yield the same triple.
-    ``passthrough`` holds (check index, support) for degree-1/2 checks kept
-    undecomposed in lenient mode.
+    chain order; two checks may yield the same triple.  ``passthrough`` holds
+    the supports of degree-1/2 checks, kept undecomposed.
     """
 
     n_original: int
     extended_num_vars: int
     checks3: list[tuple[int, int, int]]
-    provenance: list[int]
     aux_count: int
-    aux_names: list[str] = field(default_factory=list)
-    passthrough: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    passthrough: list[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -144,15 +116,6 @@ def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, rhs
 
 
-def odd_subsets(support) -> list[tuple[int, ...]]:
-    """All odd-cardinality subsets of support, ascending size then lexicographic."""
-    support = sorted(support)
-    if not support:
-        raise RelaxationError("empty support")
-    signs, _ = _check_pattern(len(support))
-    return [tuple(i for i, s in zip(support, row) if s > 0) for row in signs.tolist()]
-
-
 def _stack(supports, num_vars: int, boxed=()) -> tuple[np.ndarray, np.ndarray]:
     """(A, b): each support's check pattern in its sorted columns, supports in
     order, then -x_i <= 0 and x_i <= 1 for each boxed index i."""
@@ -174,80 +137,51 @@ def _stack(supports, num_vars: int, boxed=()) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def _var_names(n: int) -> list[str]:
-    return [f"f_{i + 1}" for i in range(n)]
-
-
-def feldman_rows_for_check(support) -> Sequence[Row]:
-    """One inequality per odd subset S: +1 on S, -1 on support\\S, rhs |S|-1."""
-    support = tuple(sorted(support))
-    if not support:
-        raise RelaxationError("empty support")
-    n = support[-1] + 1
-    return ConstraintSystem(n, _stack([support], n), _var_names(n)).rows
-
-
 def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> ConstraintSystem:
-    """Full odd-subset system, checks in order, each check's rows in odd_subsets order."""
+    """Full odd-subset system: checks in order, each check's rows by ascending
+    odd-subset size, then lexicographic."""
     boxed = range(H.n) if include_boxes else ()
-    return ConstraintSystem(num_vars=H.n, arrays=_stack(H.rows, H.n, boxed),
-                            var_names=_var_names(H.n), box_rows_included=include_boxes)
+    return ConstraintSystem(num_vars=H.n, arrays=_stack(H.rows, H.n, boxed))
 
 
-def decompose(H: ParityCheckMatrix, strict: bool = True) -> DecompositionResult:
+def decompose(H: ParityCheckMatrix) -> DecompositionResult:
     """Rewrite each check of degree d >= 3 as a chain of d-2 degree-3 triples.
 
     A degree-d support (i_1,...,i_d) becomes (i_1,i_2,z_1), (z_1,i_3,z_2), ...,
     (z_{d-3}, i_{d-1}, i_d), introducing d-3 auxiliaries; a degree-3 check is
-    its own triple.  In strict mode degrees 1 and 2 are rejected; in lenient
-    mode they pass through undecomposed.
+    its own triple.  Checks of degree 1 and 2 pass through undecomposed.
     """
     checks3: list[tuple[int, int, int]] = []
-    provenance: list[int] = []
-    passthrough: list[tuple[int, tuple[int, ...]]] = []
-    aux_names: list[str] = []
+    passthrough: list[tuple[int, ...]] = []
     next_aux = H.n
-    for j, support in enumerate(H.rows):
+    for support in H.rows:
         d = len(support)
         if d < 3:
-            if strict:
-                raise DegreeTooLowError(f"check {j} has degree {d} < 3")
-            passthrough.append((j, support))
+            passthrough.append(support)
             continue
         aux = list(range(next_aux, next_aux + d - 3))
         next_aux += d - 3
-        aux_names.extend(f"z_{j + 1}_{k + 1}" for k in range(d - 3))
         ends = [support[0], *aux, support[-1]]
-        chain = list(zip(ends, support[1:-1], ends[1:]))
-        checks3.extend(chain)
-        provenance.extend([j] * len(chain))
+        checks3.extend(zip(ends, support[1:-1], ends[1:]))
     return DecompositionResult(
         n_original=H.n,
         extended_num_vars=next_aux,
         checks3=checks3,
-        provenance=provenance,
         aux_count=next_aux - H.n,
-        aux_names=aux_names,
         passthrough=passthrough,
     )
 
 
-def decomposed_system(D: DecompositionResult, n_original: int,
-                      cover_boxes: bool = False) -> ConstraintSystem:
-    """4 rows per triple; box rows only for originals no triple covers.
+def decomposed_system(D: DecompositionResult, n_original: int) -> ConstraintSystem:
+    """4 rows per triple, then each passthrough check's odd-subset rows; no box rows.
 
     The box bounds of every variable inside a degree-3 block are implied by
-    that block's four inequalities, so they are omitted.
+    that block's four inequalities.
     """
     if n_original != D.n_original:
         raise RelaxationError(f"n_original mismatch: {n_original} != {D.n_original}")
-    covered = {i for triple in D.checks3 for i in triple}
-    boxed = [i for i in range(n_original) if cover_boxes and i not in covered]
-    supports = D.checks3 + [support for _, support in D.passthrough]
-    names = _var_names(n_original) + list(D.aux_names)
     return ConstraintSystem(num_vars=D.extended_num_vars,
-                            arrays=_stack(supports, D.extended_num_vars, boxed),
-                            var_names=names, box_rows_included=bool(boxed))
+                            arrays=_stack(D.checks3 + D.passthrough, D.extended_num_vars))
 
 
 def count_constraints(profile: DegreeProfile, n: int) -> ConstraintCounts:

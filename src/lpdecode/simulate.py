@@ -10,10 +10,14 @@ import numpy as np
 from .channel import Bsc, ChannelModel, CostVector, llr_costs, transmit, trial_rng
 from .codes import ParityCheckMatrix, degree_profile
 from .decoder import FORMULATIONS, DecodeOutcome, decode
-from .relaxation import (ConstraintCounts, RelaxationError, count_constraints, decompose,
-                         decomposed_system, feldman_system)
+from .relaxation import (ConstraintCounts, count_constraints, decompose, decomposed_system,
+                         feldman_system)
 
 SCHEMA_VERSION = 1
+
+
+class CountsMismatchError(Exception):
+    """The closed-form counts disagree with the generated systems: a program fault."""
 
 
 @dataclass
@@ -88,13 +92,13 @@ def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
     """Formula counts cross-checked against actually generated systems."""
     counts = count_constraints(degree_profile(H), H.n)
     D = decompose(H)
-    measured_f = len(feldman_system(H, include_boxes=True).rows)
-    measured_d = len(decomposed_system(D, H.n, cover_boxes=False).rows)
+    measured_f = feldman_system(H, include_boxes=True).arrays[0].shape[0]
+    measured_d = decomposed_system(D, H.n).arrays[0].shape[0]
     formula = (counts.feldman_parity_rows + counts.feldman_box_rows, counts.decomposed_rows,
                counts.aux_vars, counts.degree3_checks)
     measured = (measured_f, measured_d, D.aux_count, len(D.checks3))
     if measured != formula:
-        raise RelaxationError("(feldman rows, decomposed rows, aux vars, degree-3 checks): "
+        raise CountsMismatchError("(feldman rows, decomposed rows, aux vars, degree-3 checks): "
                               f"{formula} by formula, {measured} in the generated systems")
     return ComparisonReport(
         code=code_name, n=H.n, m=H.m, counts=counts,

@@ -52,7 +52,7 @@ def test_criterion_2_counting_identities():
         assert len(fs.rows) == sum(2 ** (d - 1) for d in prof.check_degrees) + 2 * H.n
         assert len(fs.rows) == counts.feldman_parity_rows + counts.feldman_box_rows
         D = decompose(H)
-        ds = decomposed_system(D, H.n, cover_boxes=False)
+        ds = decomposed_system(D, H.n)
         assert len(ds.rows) == 4 * sum(d - 2 for d in prof.check_degrees)
         assert len(ds.rows) == counts.decomposed_rows
         assert D.aux_count == sum(d - 3 for d in prof.check_degrees) == counts.aux_vars
@@ -74,8 +74,7 @@ def test_criterion_3_box_implication():
             # the triple's one-check system, with its columns in triple order
             check = ParityCheckMatrix(n=max(triple) + 1, rows=(tuple(sorted(triple)),))
             A, b = feldman_system(check).arrays
-            local = ConstraintSystem(num_vars=3, arrays=(A[:, list(triple)], b),
-                                     var_names=["a", "b", "c"])
+            local = ConstraintSystem(num_vars=3, arrays=(A[:, list(triple)], b))
             for v in range(3):
                 for sign in (1.0, -1.0):
                     c = [0.0, 0.0, 0.0]
@@ -129,7 +128,7 @@ def test_criterion_6_feasibility_exclusion():
         H = builtin_code(name)
         fs = feldman_system(H, include_boxes=True)
         D = decompose(H)
-        ds = decomposed_system(D, H.n, cover_boxes=False)
+        ds = decomposed_system(D, H.n)
         for bits in itertools.product((0, 1), repeat=H.n):
             is_cw = all(sum(bits[i] for i in row) % 2 == 0 for row in H.rows)
             assert satisfies(fs, bits) == is_cw

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lpdecode
-from lpdecode import lpsolver
+from lpdecode import lpsolver, simulate
 from lpdecode.cli import _counts_csv, main
 from lpdecode.codes import builtin_code, write_alist
 from lpdecode.simulate import run_compare
@@ -57,6 +58,18 @@ class TestCounts:
         path.write_text("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n")
         code, _ = run(capsys, "counts", "--code", str(path))
         assert code == 2
+
+    def test_counts_mismatch_exit_code(self, capsys, monkeypatch):
+        # formula and generated systems disagreeing is a program fault, not bad input
+        count = simulate.count_constraints
+
+        def overcount(*args):
+            counts = count(*args)
+            return dataclasses.replace(counts, aux_vars=counts.aux_vars + 1)
+
+        monkeypatch.setattr(simulate, "count_constraints", overcount)
+        code, out = run(capsys, "counts", "--code", "builtin:ldpc-48-24")
+        assert code == 3 and out == ""
 
     def test_out_replaces_longer_file(self, tmp_path, capsys):
         _, out = run(capsys, "counts", "--code", "builtin:paper-example")

@@ -68,6 +68,11 @@ class TestMatrixInvariants:
         with pytest.raises(CodeError):
             ParityCheckMatrix(n=3, rows=[[0, 1.0, 2]])
 
+    @pytest.mark.parametrize("n", [3.0, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(CodeError, match="n must be an integer"):
+            ParityCheckMatrix(n=n, rows=[[0, 1, 2]])
+
 
 class TestDegreeProfile:
     def test_paper_example(self):

@@ -25,7 +25,6 @@ def make_cs(rows, num_vars):
     return ConstraintSystem(
         num_vars=num_vars,
         arrays=(A, np.array([rhs for _, rhs in rows], dtype=float)),
-        var_names=[f"x{i}" for i in range(num_vars)],
     )
 
 

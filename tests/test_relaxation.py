@@ -1,15 +1,12 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
 
 from lpdecode import lpsolver
 from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile, from_dense
-from lpdecode.relaxation import (DegreeTooLowError, RelaxationError,
-                                 count_constraints, decompose, decomposed_system,
-                                 feldman_rows_for_check, feldman_system,
-                                 odd_binomial_sum, odd_subsets)
+from lpdecode.relaxation import (DegreeTooLowError, count_constraints, decompose,
+                                 decomposed_system, feldman_system, odd_binomial_sum)
 
 from conftest import random_matrix
 
@@ -26,7 +23,7 @@ PAPER_A = [
 PAPER_B = [0, 0, 0, 2, 0, 0, 0, 2]
 
 
-def brute_odd_subsets(support):
+def odd_powerset(support):
     """Independent oracle: filter the full powerset by odd cardinality."""
     out = []
     for k in range(len(support) + 1):
@@ -36,53 +33,58 @@ def brute_odd_subsets(support):
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def check_arrays(support):
+    """(A, b) of the Feldman system of one check over columns 0..max(support)."""
+    return feldman_system(ParityCheckMatrix(max(support) + 1, (support,))).arrays
+
+
+def odd_sets(support):
+    """The +1 positions of each row of one check's Feldman system, in row order."""
+    A, _ = check_arrays(tuple(sorted(support)))
+    return [tuple(np.flatnonzero(row > 0).tolist()) for row in A]
+
+
 class TestOddSubsets:
     def test_degree3_order(self):
-        assert odd_subsets({1, 2, 3}) == [(1,), (2,), (3,), (1, 2, 3)]
+        assert odd_sets({1, 2, 3}) == [(1,), (2,), (3,), (1, 2, 3)]
 
     def test_singleton(self):
-        assert odd_subsets({5}) == [(5,)]
+        assert odd_sets({5}) == [(5,)]
 
     def test_degree4(self):
-        assert odd_subsets({1, 2, 3, 4}) == [
+        assert odd_sets({1, 2, 3, 4}) == [
             (1,), (2,), (3,), (4,),
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
         ]
 
-    def test_empty_rejected(self):
-        with pytest.raises(RelaxationError):
-            odd_subsets(set())
-
     def test_against_powerset_oracle(self):
         for d in range(1, 9):
             support = tuple(range(3, 3 + d))
-            assert odd_subsets(support) == brute_odd_subsets(support)
-            assert len(odd_subsets(support)) == 2 ** (d - 1)
+            assert odd_sets(support) == odd_powerset(support)
+            assert len(odd_sets(support)) == 2 ** (d - 1)
 
 
 class TestFeldmanRows:
     def test_degree3(self):
-        rows = feldman_rows_for_check((0, 1, 2))
+        A, b = check_arrays((0, 1, 2))
         expected = [
-            ({0: 1, 1: -1, 2: -1}, 0),
-            ({0: -1, 1: 1, 2: -1}, 0),
-            ({0: -1, 1: -1, 2: 1}, 0),
-            ({0: 1, 1: 1, 2: 1}, 2),
+            ([1, -1, -1], 0),
+            ([-1, 1, -1], 0),
+            ([-1, -1, 1], 0),
+            ([1, 1, 1], 2),
         ]
-        assert [(r.coeffs, r.rhs) for r in rows] == expected
+        assert list(zip(A.tolist(), b.tolist())) == expected
 
     def test_degree1_forces_zero(self):
-        rows = feldman_rows_for_check((0,))
-        assert [(r.coeffs, r.rhs) for r in rows] == [({0: 1}, 0)]
+        A, b = check_arrays((0,))
+        assert list(zip(A.tolist(), b.tolist())) == [([1], 0)]
 
     def test_degree2_equality_pair(self):
-        rows = feldman_rows_for_check((0, 1))
-        assert [(r.coeffs, r.rhs) for r in rows] == [
-            ({0: 1, 1: -1}, 0), ({0: -1, 1: 1}, 0)]
+        A, b = check_arrays((0, 1))
+        assert list(zip(A.tolist(), b.tolist())) == [([1, -1], 0), ([-1, 1], 0)]
         # x1 = x2 on 0/1 points: both parity-even points satisfy, both odd violate
         for x in itertools.product((0, 1), repeat=2):
-            sat = all(sum(c * x[i] for i, c in r.coeffs.items()) <= r.rhs for r in rows)
-            assert sat == ((x[0] ^ x[1]) == 0)
+            assert (A @ x <= b).all() == ((x[0] ^ x[1]) == 0)
 
 
 class TestFeldmanSystem:
@@ -92,7 +94,6 @@ class TestFeldmanSystem:
         assert A == [[float(v) for v in row] for row in PAPER_A]
         assert b == [float(v) for v in PAPER_B]
         assert cs.num_vars == 4
-        assert not cs.box_rows_included
 
     def test_single_entry_matrix(self):
         cs = feldman_system(from_dense([[1]]), include_boxes=False)
@@ -105,16 +106,16 @@ class TestFeldmanSystem:
             prof = degree_profile(H)
             cs = feldman_system(H, include_boxes=True)
             assert len(cs.rows) == sum(2 ** (d - 1) for d in prof.check_degrees) + 2 * H.n
-            assert cs.box_rows_included
+            assert cs.dense() == oracle_dense(H.rows, H.n, range(H.n))
 
 
 def oracle_dense(supports, num_vars, boxed=()):
-    """Dense (A, b) written out from brute_odd_subsets: per support in order,
+    """Dense (A, b) written out from odd_powerset: per support in order,
     +1 on S, -1 on the rest of the support, rhs |S|-1; then -x_i <= 0 and
     x_i <= 1 for each boxed i."""
     A, b = [], []
     for support in supports:
-        for S in brute_odd_subsets(support):
+        for S in odd_powerset(support):
             row = [0.0] * num_vars
             for i in support:
                 row[i] = 1.0 if i in S else -1.0
@@ -138,18 +139,13 @@ class TestArrayBuilder:
         cs = feldman_system(ParityCheckMatrix(n=2 * d, rows=(support,)))
         assert cs.dense() == oracle_dense([support], 2 * d)
 
-    @pytest.mark.parametrize("cover_boxes", [False, True])
-    def test_chain_against_oracle(self, cover_boxes):
+    def test_chain_against_oracle(self):
         rng = np.random.default_rng(606)
         for _ in range(20):
             H = random_matrix(rng, min_degree=1)
-            D = decompose(H, strict=False)
-            cs = decomposed_system(D, H.n, cover_boxes=cover_boxes)
-            covered = {i for triple in D.checks3 for i in triple}
-            boxed = [i for i in range(H.n) if i not in covered] if cover_boxes else []
-            supports = D.checks3 + [support for _, support in D.passthrough]
-            assert cs.dense() == oracle_dense(supports, D.extended_num_vars, boxed)
-            assert cs.box_rows_included == bool(boxed)
+            D = decompose(H)
+            cs = decomposed_system(D, H.n)
+            assert cs.dense() == oracle_dense(D.checks3 + D.passthrough, D.extended_num_vars)
 
     def test_arrays_read_only_float64(self):
         H = builtin_code("hamming-7-4")
@@ -168,11 +164,6 @@ class TestArrayBuilder:
         assert all(type(c) is int and c != 0 for r in rows for c in r.coeffs.values())
         with pytest.raises(IndexError):
             rows[len(dense)]
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(RelaxationError):
-            feldman_rows_for_check(())
-
 
 class TestDecompose:
     def test_degree3_identity(self):
@@ -194,19 +185,10 @@ class TestDecompose:
         assert len(D.checks3) == 4
         assert D.aux_count == 3
 
-    def test_provenance(self):
-        H = builtin_code("hamming-7-4")
-        D = decompose(H)
-        assert len(D.provenance) == len(D.checks3)
-        for j, triple in zip(D.provenance, D.checks3):
-            originals = [i for i in triple if i < H.n]
-            assert set(originals) <= set(H.rows[j])
-
-    def test_provenance_keeps_duplicate_checks(self):
+    def test_duplicate_checks_keep_their_triples(self):
         H = ParityCheckMatrix(n=5, rows=((0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 2, 4)))
         D = decompose(H)
         assert D.checks3 == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 5), (5, 2, 4)]
-        assert D.provenance == [0, 1, 2, 3, 3]
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_parity_equivalence_truth_table(self, d):
@@ -228,15 +210,10 @@ class TestDecompose:
                            for a, b, c in D.checks3))
         assert count == len(even)
 
-    def test_strict_rejects_low_degree(self):
-        H = from_dense([[1, 1, 0], [1, 1, 1]])
-        with pytest.raises(DegreeTooLowError):
-            decompose(H, strict=True)
-
     def test_lenient_passthrough(self):
         H = from_dense([[1, 1, 0], [1, 1, 1]])
-        D = decompose(H, strict=False)
-        assert D.passthrough == [(0, (0, 1))]
+        D = decompose(H)
+        assert D.passthrough == [(0, 1)]
         assert D.checks3 == [(0, 1, 2)]
 
 
@@ -244,7 +221,7 @@ class TestDecomposedSystem:
     def test_paper_example_counts(self):
         H = builtin_code("paper-example")
         D = decompose(H)
-        cs = decomposed_system(D, H.n, cover_boxes=False)
+        cs = decomposed_system(D, H.n)
         assert len(cs.rows) == 8
         assert cs.num_vars == 4
         assert D.aux_count == 0
@@ -252,29 +229,9 @@ class TestDecomposedSystem:
     def test_single_degree5_check(self):
         H = from_dense([[1] * 5])
         D = decompose(H)
-        cs = decomposed_system(D, H.n, cover_boxes=False)
+        cs = decomposed_system(D, H.n)
         assert len(cs.rows) == 12
         assert D.aux_count == 2
-
-    def test_isolated_column_gets_boxes(self):
-        # column 3 participates in no check
-        H = from_dense([[1, 1, 1, 0]])
-        D = decompose(H)
-        cs = decomposed_system(D, H.n, cover_boxes=True)
-        assert len(cs.rows) == 4 + 2
-        box = cs.rows[-2:]
-        assert box[0].coeffs == {3: -1} and box[0].rhs == 0
-        assert box[1].coeffs == {3: 1} and box[1].rhs == 1
-
-    def test_covered_variables_get_no_boxes(self, rng):
-        for _ in range(10):
-            H = random_matrix(rng)
-            D = decompose(H)
-            cs = decomposed_system(D, H.n, cover_boxes=True)
-            covered = {i for t in D.checks3 for i in t}
-            boxed = {i for r in cs.rows if len(r.coeffs) == 1
-                     for i in r.coeffs}
-            assert not (boxed & covered)
 
 
 class TestCounts:
@@ -318,7 +275,7 @@ class TestCounts:
             counts = count_constraints(prof, H.n)
             fs = feldman_system(H, include_boxes=True)
             D = decompose(H)
-            ds = decomposed_system(D, H.n, cover_boxes=False)
+            ds = decomposed_system(D, H.n)
             assert len(fs.rows) == counts.feldman_parity_rows + counts.feldman_box_rows
             assert len(ds.rows) == counts.decomposed_rows
             assert D.aux_count == counts.aux_vars
@@ -335,8 +292,8 @@ def chain_extend(D, bits):
 
 
 def satisfies(cs, x):
-    return all(sum(c * x[i] for i, c in row.coeffs.items()) <= row.rhs
-               for row in cs.rows)
+    A, b = cs.arrays
+    return bool((A @ np.asarray(x, dtype=float) <= b).all())
 
 
 class TestCodewordGeometry:
@@ -345,7 +302,7 @@ class TestCodewordGeometry:
         H = builtin_code(name)
         fs = feldman_system(H, include_boxes=True)
         D = decompose(H)
-        ds = decomposed_system(D, H.n, cover_boxes=False)
+        ds = decomposed_system(D, H.n)
         for bits in itertools.product((0, 1), repeat=H.n):
             is_cw = all(sum(bits[i] for i in row) % 2 == 0 for row in H.rows)
             assert satisfies(fs, bits) == is_cw
@@ -362,7 +319,7 @@ class TestCodewordGeometry:
                 continue
             fs = feldman_system(H, include_boxes=True)
             D = decompose(H)
-            ds = decomposed_system(D, H.n, cover_boxes=False)
+            ds = decomposed_system(D, H.n)
             for bits in itertools.product((0, 1), repeat=H.n):
                 is_cw = all(sum(bits[i] for i in row) % 2 == 0 for row in H.rows)
                 assert satisfies(fs, bits) == is_cw
@@ -381,25 +338,3 @@ class TestBoxImplication:
                 sol = lpsolver.solve(lpsolver.LinearProgram(c, cs, wide))
                 assert sol.status == "optimal"
                 assert -1e-9 <= sol.point[v] <= 1 + 1e-9
-
-
-class TestSerialization:
-    def test_text_format(self):
-        cs = feldman_system(builtin_code("paper-example"))
-        lines = cs.to_text().splitlines()
-        assert lines[0] == "+1*f_1 -1*f_2 -1*f_3 <= 0"
-        assert lines[3] == "+1*f_1 +1*f_2 +1*f_3 <= 2"
-
-    def test_json_roundtrippable(self):
-        cs = feldman_system(builtin_code("hamming-7-4"), include_boxes=True)
-        obj = json.loads(cs.to_json())
-        assert obj["num_vars"] == 7
-        assert len(obj["rows"]) == len(cs.rows)
-        assert obj["rows"][0]["rhs"] == cs.rows[0].rhs
-
-    def test_aux_names(self):
-        H = from_dense([[1] * 5])
-        D = decompose(H)
-        cs = decomposed_system(D, H.n)
-        assert cs.var_names[:5] == ["f_1", "f_2", "f_3", "f_4", "f_5"]
-        assert cs.var_names[5:] == ["z_1_1", "z_1_2"]

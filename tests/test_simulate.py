@@ -7,8 +7,7 @@ from lpdecode import simulate
 from lpdecode.channel import Bsc
 from lpdecode.codes import builtin_code
 from lpdecode.decoder import FORMULATIONS, decode
-from lpdecode.relaxation import RelaxationError
-from lpdecode.simulate import (run_compare, run_counts, run_simulate,
+from lpdecode.simulate import (CountsMismatchError, run_compare, run_counts, run_simulate,
                                sample_gamma, wilson_interval)
 
 HAMMING = builtin_code("hamming-7-4")
@@ -40,7 +39,7 @@ class TestCounts:
             return dataclasses.replace(counts, decomposed_rows=counts.decomposed_rows + 1)
 
         monkeypatch.setattr(simulate, "count_constraints", overcount)
-        with pytest.raises(RelaxationError, match="385.*384"):
+        with pytest.raises(CountsMismatchError, match="385.*384"):
             run_counts(builtin_code("ldpc-48-24"))
 
     def test_json_schema(self):
