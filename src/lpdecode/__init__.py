@@ -6,8 +6,8 @@ from .codes import (DegreeProfile, ParityCheckMatrix, builtin_code, degree_profi
                     from_dense, parse_alist, write_alist)
 from .decoder import DecodeOutcome, brute_force_ml, decode, fractional_witness
 from .lpsolver import LinearProgram, LpSolution, is_integral, solve
-from .relaxation import (ConstraintCounts, ConstraintSystem, DecompositionResult,
-                         count_constraints, decompose, decomposed_system, feldman_system)
+from .relaxation import (ConstraintCounts, ConstraintSystem, count_constraints, decompose,
+                         decomposed_system, feldman_system)
 
 __all__ = [
     "Awgn", "Bsc", "CostVector", "llr_costs", "transmit",
@@ -15,7 +15,7 @@ __all__ = [
     "from_dense", "parse_alist", "write_alist",
     "DecodeOutcome", "brute_force_ml", "decode", "fractional_witness",
     "LinearProgram", "LpSolution", "is_integral", "solve",
-    "ConstraintCounts", "ConstraintSystem", "DecompositionResult",
+    "ConstraintCounts", "ConstraintSystem",
     "count_constraints", "decompose", "decomposed_system", "feldman_system",
 ]
 

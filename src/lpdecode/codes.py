@@ -36,7 +36,7 @@ class ParityCheckMatrix:
         except TypeError:
             raise CodeError(f"n must be an integer, got {self.n!r}") from None
         try:
-            rows = tuple(tuple(operator.index(i) for i in row) for row in self.rows)
+            rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         except TypeError as e:
             raise CodeError(f"check rows must be sequences of integer indices: {e}") from None
         object.__setattr__(self, "rows", rows)
@@ -47,9 +47,8 @@ class ParityCheckMatrix:
         for j, row in enumerate(self.rows):
             if len(row) == 0:
                 raise CodeError(f"check {j} is empty")
-            for a, b in zip(row, row[1:]):
-                if a >= b:
-                    raise CodeError(f"check {j} indices not strictly increasing: {row}")
+            if any(map(operator.ge, row, row[1:])):
+                raise CodeError(f"check {j} indices not strictly increasing: {row}")
             if row[0] < 0 or row[-1] >= self.n:
                 raise CodeError(f"check {j} index out of range [0, {self.n}): {row}")
 

@@ -54,12 +54,8 @@ class DecodeOutcome:
         }
 
 
-def syndrome(H: ParityCheckMatrix, bits) -> list[int]:
-    return [sum(bits[i] for i in row) % 2 for row in H.rows]
-
-
 def is_codeword(H: ParityCheckMatrix, bits) -> bool:
-    return all(s == 0 for s in syndrome(H, bits))
+    return all(sum(bits[i] for i in row) % 2 == 0 for row in H.rows)
 
 
 @functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)

@@ -5,10 +5,11 @@ subset S of N:
 
     sum_{i in S} f_i - sum_{i in N\\S} f_i <= |S| - 1
 
-The chain reformulation rewrites a degree-d check (d >= 4) as d-2 degree-3
-checks linked by d-3 auxiliary variables, so the relaxation needs only
+The chain reformulation is itself a code: `decompose` rewrites each degree-d
+check (d >= 4) as d-2 degree-3 checks linked by d-3 auxiliary variables, and
+the chain relaxation is Feldman's system of that code.  It needs only
 4*(d-2) rows per check, and the 0/1 box bounds become implied for every
-variable covered by a degree-3 block.
+variable covered by a degree-3 check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from math import comb
 import numpy as np
 
 from .codes import DegreeProfile, ParityCheckMatrix
+
+
+MAX_CELLS = 2 ** 25  # largest dense A that feldman_system allocates: 256 MiB of float64
 
 
 class RelaxationError(ValueError):
@@ -78,22 +82,6 @@ class ConstraintSystem:
         return A.tolist(), b.tolist()
 
 
-@dataclass
-class DecompositionResult:
-    """Chain decomposition of all checks into degree-3 triples.
-
-    Auxiliary variables are appended after the n originals, check-major then
-    chain order; two checks may yield the same triple.  ``passthrough`` holds
-    the supports of degree-1/2 checks, kept undecomposed.
-    """
-
-    n_original: int
-    extended_num_vars: int
-    checks3: list[tuple[int, int, int]]
-    aux_count: int
-    passthrough: list[tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class ConstraintCounts:
     feldman_parity_rows: int
@@ -116,72 +104,71 @@ def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, rhs
 
 
-def _stack(supports, num_vars: int, boxed=()) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b): each support's check pattern in its sorted columns, supports in
-    order, then -x_i <= 0 and x_i <= 1 for each boxed index i."""
-    m = sum(2 ** (len(s) - 1) for s in supports)
-    boxed = np.asarray(boxed, dtype=int)
-    A = np.zeros((m + 2 * boxed.size, num_vars))
-    b = np.zeros(A.shape[0])
-    r = 0
-    for support in supports:
-        signs, rhs = _check_pattern(len(support))
-        A[r:r + rhs.size, sorted(support)] = signs
-        b[r:r + rhs.size] = rhs
-        r += rhs.size
-    box = m + 2 * np.arange(boxed.size)
-    A[box, boxed] = -1.0
-    A[box + 1, boxed] = 1.0
-    b[box + 1] = 1.0
-    A.flags.writeable = b.flags.writeable = False
-    return A, b
-
-
 def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> ConstraintSystem:
     """Full odd-subset system: checks in order, each check's rows by ascending
-    odd-subset size, then lexicographic."""
-    boxed = range(H.n) if include_boxes else ()
-    return ConstraintSystem(num_vars=H.n, arrays=_stack(H.rows, H.n, boxed))
+    odd-subset size, then lexicographic; with include_boxes, then -x_i <= 0 and
+    x_i <= 1 for each i.
 
-
-def decompose(H: ParityCheckMatrix) -> DecompositionResult:
-    """Rewrite each check of degree d >= 3 as a chain of d-2 degree-3 triples.
-
-    A degree-d support (i_1,...,i_d) becomes (i_1,i_2,z_1), (z_1,i_3,z_2), ...,
-    (z_{d-3}, i_{d-1}, i_d), introducing d-3 auxiliaries; a degree-3 check is
-    its own triple.  Checks of degree 1 and 2 pass through undecomposed.
+    Raises RelaxationError rather than allocate a dense A of more than
+    MAX_CELLS entries.
     """
-    checks3: list[tuple[int, int, int]] = []
-    passthrough: list[tuple[int, ...]] = []
+    m = sum(2 ** (len(s) - 1) for s in H.rows)
+    rows = m + 2 * H.n if include_boxes else m
+    if rows * H.n > MAX_CELLS:
+        raise RelaxationError(f"odd-subset system of {rows} x {H.n} entries exceeds "
+                              f"MAX_CELLS = {MAX_CELLS}")
+    A = np.zeros((rows, H.n))
+    b = np.zeros(rows)
+    r = 0
+    for support in H.rows:
+        signs, rhs = _check_pattern(len(support))
+        A[r:r + rhs.size, list(support)] = signs
+        b[r:r + rhs.size] = rhs
+        r += rhs.size
+    if include_boxes:
+        box, cols = m + 2 * np.arange(H.n), np.arange(H.n)
+        A[box, cols] = -1.0
+        A[box + 1, cols] = 1.0
+        b[box + 1] = 1.0
+    A.flags.writeable = b.flags.writeable = False
+    return ConstraintSystem(num_vars=H.n, arrays=(A, b))
+
+
+def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:
+    """The chain code of H, whose checks all have degree at most 3.
+
+    A degree-d support (i_1,...,i_d) becomes the triples {i_1,i_2,z_1},
+    {z_1,i_3,z_2}, ..., {z_{d-3},i_{d-1},i_d}, linked by d-3 auxiliary columns
+    z numbered from H.n, check-major then chain order; a degree-3 check is its
+    own triple.  The rows are each check's triples, sorted, in check order, then
+    the checks of degree 1 and 2 unchanged; two checks may yield the same row.
+    Restricted to the first H.n columns, the chain code's codewords are exactly
+    H's, and each extends in exactly one way.
+    """
+    triples: list[tuple[int, ...]] = []
+    short: list[tuple[int, ...]] = []
     next_aux = H.n
     for support in H.rows:
         d = len(support)
         if d < 3:
-            passthrough.append(support)
+            short.append(support)
             continue
-        aux = list(range(next_aux, next_aux + d - 3))
+        ends = [support[0], *range(next_aux, next_aux + d - 3), support[-1]]
         next_aux += d - 3
-        ends = [support[0], *aux, support[-1]]
-        checks3.extend(zip(ends, support[1:-1], ends[1:]))
-    return DecompositionResult(
-        n_original=H.n,
-        extended_num_vars=next_aux,
-        checks3=checks3,
-        aux_count=next_aux - H.n,
-        passthrough=passthrough,
-    )
+        triples.extend(tuple(sorted(t)) for t in zip(ends, support[1:-1], ends[1:]))
+    return ParityCheckMatrix(n=next_aux, rows=tuple(triples + short))
 
 
-def decomposed_system(D: DecompositionResult, n_original: int) -> ConstraintSystem:
-    """4 rows per triple, then each passthrough check's odd-subset rows; no box rows.
+def decomposed_system(D: ParityCheckMatrix, n_original: int) -> ConstraintSystem:
+    """Feldman's system of the chain code D = decompose(H), where n_original = H.n:
+    4 rows per triple, then each degree-1/2 check's rows; no box rows.
 
-    The box bounds of every variable inside a degree-3 block are implied by
-    that block's four inequalities.
+    The box bounds of every variable inside a triple are implied by that
+    triple's four inequalities.
     """
-    if n_original != D.n_original:
-        raise RelaxationError(f"n_original mismatch: {n_original} != {D.n_original}")
-    return ConstraintSystem(num_vars=D.extended_num_vars,
-                            arrays=_stack(D.checks3 + D.passthrough, D.extended_num_vars))
+    if not 0 < n_original <= D.n:
+        raise RelaxationError(f"n_original {n_original} outside [1, {D.n}]")
+    return feldman_system(D)
 
 
 def count_constraints(profile: DegreeProfile, n: int) -> ConstraintCounts:

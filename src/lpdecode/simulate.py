@@ -96,7 +96,8 @@ def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
     measured_d = decomposed_system(D, H.n).arrays[0].shape[0]
     formula = (counts.feldman_parity_rows + counts.feldman_box_rows, counts.decomposed_rows,
                counts.aux_vars, counts.degree3_checks)
-    measured = (measured_f, measured_d, D.aux_count, len(D.checks3))
+    aux = D.n - H.n
+    measured = (measured_f, measured_d, aux, sum(len(row) == 3 for row in D.rows))
     if measured != formula:
         raise CountsMismatchError("(feldman rows, decomposed rows, aux vars, degree-3 checks): "
                               f"{formula} by formula, {measured} in the generated systems")
@@ -104,7 +105,7 @@ def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
         code=code_name, n=H.n, m=H.m, counts=counts,
         measured_feldman_rows=measured_f,
         measured_decomposed_rows=measured_d,
-        measured_aux_vars=D.aux_count,
+        measured_aux_vars=aux,
     )
 
 

@@ -55,8 +55,8 @@ def test_criterion_2_counting_identities():
         ds = decomposed_system(D, H.n)
         assert len(ds.rows) == 4 * sum(d - 2 for d in prof.check_degrees)
         assert len(ds.rows) == counts.decomposed_rows
-        assert D.aux_count == sum(d - 3 for d in prof.check_degrees) == counts.aux_vars
-        assert len(D.checks3) == sum(d - 2 for d in prof.check_degrees)
+        assert D.n - H.n == sum(d - 3 for d in prof.check_degrees) == counts.aux_vars
+        assert degree_profile(D).check_degrees == (3,) * sum(d - 2 for d in prof.check_degrees)
     for d in range(1, 31):
         assert odd_binomial_sum(d) == 2 ** (d - 1)
     elapsed = time.perf_counter() - t0
@@ -70,9 +70,9 @@ def test_criterion_3_box_implication():
     for name in ALL_CODES:
         H = builtin_code(name)
         D = decompose(H)
-        for triple in D.checks3:
+        for triple in D.rows:
             # the triple's one-check system, with its columns in triple order
-            check = ParityCheckMatrix(n=max(triple) + 1, rows=(tuple(sorted(triple)),))
+            check = ParityCheckMatrix(n=max(triple) + 1, rows=(triple,))
             A, b = feldman_system(check).arrays
             local = ConstraintSystem(num_vars=3, arrays=(A[:, list(triple)], b))
             for v in range(3):

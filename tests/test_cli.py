@@ -12,7 +12,7 @@ import pytest
 import lpdecode
 from lpdecode import lpsolver, simulate
 from lpdecode.cli import _counts_csv, main
-from lpdecode.codes import builtin_code, write_alist
+from lpdecode.codes import ParityCheckMatrix, builtin_code, write_alist
 from lpdecode.simulate import run_compare
 
 
@@ -204,6 +204,33 @@ class TestDecode:
         code, out = run(capsys, "decode", "--code", "builtin:hamming-7-4",
                         "--gamma", "1,1,1,1,1,1,-1")
         assert code == 3 and out == ""
+
+
+class TestOversizedSystem:
+    """One degree-40 check: 2^39 odd-subset rows, but only 38 chain triples."""
+
+    GAMMA = "--gamma=" + ",".join(["-1", "1"] * 20)
+
+    @pytest.fixture
+    def alist(self, tmp_path):
+        path = tmp_path / "deg40.alist"
+        path.write_text(write_alist(ParityCheckMatrix(n=40, rows=(tuple(range(40)),))))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [("counts",), ("decode", GAMMA, "--formulation", "feldman")])
+    def test_odd_subset_system_refused(self, capsys, alist, argv):
+        code = main([argv[0], "--code", alist, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceeds" in captured.err
+
+    def test_chain_decodes(self, capsys, alist):
+        code, out = run(capsys, "decode", "--code", alist, self.GAMMA,
+                        "--formulation", "decomposed")
+        assert code == 0
+        d = json.loads(out)
+        assert d["ml_certified"] is True
+        assert d["codeword"] == [1, 0] * 20
 
 
 class TestSimulate:

@@ -5,8 +5,10 @@ import pytest
 
 from lpdecode import lpsolver
 from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile, from_dense
-from lpdecode.relaxation import (DegreeTooLowError, count_constraints, decompose,
-                                 decomposed_system, feldman_system, odd_binomial_sum)
+from lpdecode.decoder import codewords
+from lpdecode.relaxation import (MAX_CELLS, DegreeTooLowError, RelaxationError,
+                                 count_constraints, decompose, decomposed_system,
+                                 feldman_system, odd_binomial_sum)
 
 from conftest import random_matrix
 
@@ -108,6 +110,16 @@ class TestFeldmanSystem:
             assert len(cs.rows) == sum(2 ** (d - 1) for d in prof.check_degrees) + 2 * H.n
             assert cs.dense() == oracle_dense(H.rows, H.n, range(H.n))
 
+    def test_oversized_system_rejected(self):
+        # one degree-40 check has 2^39 odd-subset rows; refuse before allocating
+        H = ParityCheckMatrix(n=40, rows=(tuple(range(40)),))
+        for boxes in (False, True):
+            with pytest.raises(RelaxationError, match="exceeds"):
+                feldman_system(H, include_boxes=boxes)
+        # the (3,12)-regular n = 120 system, boxed, fits: 61,440 parity rows
+        assert (30 * 2 ** 11 + 2 * 120) * 120 <= MAX_CELLS
+        assert decomposed_system(decompose(H), H.n).arrays[0].shape == (4 * 38, 40 + 37)
+
 
 def oracle_dense(supports, num_vars, boxed=()):
     """Dense (A, b) written out from odd_powerset: per support in order,
@@ -145,7 +157,7 @@ class TestArrayBuilder:
             H = random_matrix(rng, min_degree=1)
             D = decompose(H)
             cs = decomposed_system(D, H.n)
-            assert cs.dense() == oracle_dense(D.checks3 + D.passthrough, D.extended_num_vars)
+            assert cs.dense() == oracle_dense(D.rows, D.n)
 
     def test_arrays_read_only_float64(self):
         H = builtin_code("hamming-7-4")
@@ -167,54 +179,47 @@ class TestArrayBuilder:
 
 class TestDecompose:
     def test_degree3_identity(self):
-        D = decompose(from_dense([[0, 1, 1, 1]]))
-        assert D.checks3 == [(1, 2, 3)]
-        assert D.aux_count == 0
-        assert D.extended_num_vars == 4
+        H = from_dense([[0, 1, 1, 1]])
+        D = decompose(H)
+        assert D.rows == ((1, 2, 3),)
+        assert D.n - H.n == 0
+        assert D.n == 4
 
     def test_degree4_chain(self):
         H = from_dense([[0, 1, 1, 1, 1]])
         D = decompose(H)
         z = 5
-        assert D.checks3 == [(1, 2, z), (z, 3, 4)]
-        assert D.aux_count == 1
+        assert D.rows == ((1, 2, z), (3, 4, z))
+        assert D.n - H.n == 1
 
     def test_degree6_counts(self):
         H = from_dense([[1] * 6])
         D = decompose(H)
-        assert len(D.checks3) == 4
-        assert D.aux_count == 3
+        assert D.rows == ((0, 1, 6), (2, 6, 7), (3, 7, 8), (4, 5, 8))
+        assert D.n - H.n == 3
 
     def test_duplicate_checks_keep_their_triples(self):
         H = ParityCheckMatrix(n=5, rows=((0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 2, 4)))
         D = decompose(H)
-        assert D.checks3 == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 5), (5, 2, 4)]
+        assert D.rows == ((0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 5), (2, 4, 5))
 
-    @pytest.mark.parametrize("d", [4, 5, 6, 7])
-    def test_parity_equivalence_truth_table(self, d):
-        # oracle: extended 0/1 assignments satisfying all triples by even parity
-        # project exactly onto the even-weight original assignments
-        H = from_dense([[1] * d])
+    @pytest.mark.parametrize("code", [4, 5, 6, 7, "paper-example", "hamming-7-4"])
+    def test_parity_equivalence_truth_table(self, code):
+        # oracle: extended 0/1 assignments satisfying every chain check by even
+        # parity project onto the codewords of H, each from exactly one, so the
+        # projections equal codewords(H) as a list, not only as a set
+        H = from_dense([[1] * code]) if isinstance(code, int) else builtin_code(code)
         D = decompose(H)
-        n_ext = D.extended_num_vars
-        projections = set()
-        for bits in itertools.product((0, 1), repeat=n_ext):
-            if all((bits[a] + bits[b] + bits[c]) % 2 == 0 for a, b, c in D.checks3):
-                projections.add(bits[:d])
-        even = {bits for bits in itertools.product((0, 1), repeat=d)
-                if sum(bits) % 2 == 0}
-        assert projections == even
-        # each even original assignment extends uniquely
-        count = sum(1 for bits in itertools.product((0, 1), repeat=n_ext)
-                    if all((bits[a] + bits[b] + bits[c]) % 2 == 0
-                           for a, b, c in D.checks3))
-        assert count == len(even)
+        assert max(len(row) for row in D.rows) == 3
+        projections = [bits[:H.n] for bits in itertools.product((0, 1), repeat=D.n)
+                       if all(sum(bits[i] for i in row) % 2 == 0 for row in D.rows)]
+        assert sorted(projections) == sorted(tuple(cw.tolist()) for cw in codewords(H))
 
     def test_lenient_passthrough(self):
         H = from_dense([[1, 1, 0], [1, 1, 1]])
         D = decompose(H)
-        assert D.passthrough == [(0, 1)]
-        assert D.checks3 == [(0, 1, 2)]
+        assert D.rows == ((0, 1, 2), (0, 1))
+        assert D.n == H.n
 
 
 class TestDecomposedSystem:
@@ -224,14 +229,19 @@ class TestDecomposedSystem:
         cs = decomposed_system(D, H.n)
         assert len(cs.rows) == 8
         assert cs.num_vars == 4
-        assert D.aux_count == 0
+        assert D.n - H.n == 0
 
     def test_single_degree5_check(self):
         H = from_dense([[1] * 5])
         D = decompose(H)
         cs = decomposed_system(D, H.n)
         assert len(cs.rows) == 12
-        assert D.aux_count == 2
+        assert D.n - H.n == 2
+
+    @pytest.mark.parametrize("n_original", [0, 11])
+    def test_n_original_out_of_range(self, n_original):
+        with pytest.raises(RelaxationError, match="n_original"):
+            decomposed_system(decompose(builtin_code("hamming-7-4")), n_original)
 
 
 class TestCounts:
@@ -278,16 +288,19 @@ class TestCounts:
             ds = decomposed_system(D, H.n)
             assert len(fs.rows) == counts.feldman_parity_rows + counts.feldman_box_rows
             assert len(ds.rows) == counts.decomposed_rows
-            assert D.aux_count == counts.aux_vars
-            assert len(D.checks3) == counts.degree3_checks
+            assert D.n - H.n == counts.aux_vars
+            assert degree_profile(D).check_degrees == (3,) * counts.degree3_checks
 
 
 def chain_extend(D, bits):
-    """Unique auxiliary extension: each new chain variable is the XOR so far."""
-    values = list(bits) + [None] * D.aux_count
-    for a, b, c in D.checks3:
-        if c >= D.n_original and values[c] is None:
-            values[c] = values[a] ^ values[b]
+    """Unique extension of bits to the chain code D: in chain order, each
+    triple's one unset entry is set to the XOR of the other two."""
+    values = list(bits) + [None] * (D.n - len(bits))
+    for row in D.rows:
+        unset = [i for i in row if values[i] is None]
+        if unset:
+            (u,) = unset
+            values[u] = sum(values[i] for i in row if i != u) % 2
     return values
 
 
