@@ -55,7 +55,17 @@ class DecodeOutcome:
 
 
 def is_codeword(H: ParityCheckMatrix, bits) -> bool:
-    return all(sum(bits[i] for i in row) % 2 == 0 for row in H.rows)
+    """True iff the 0/1 sequence `bits` satisfies every check of H."""
+    cols, starts = _check_supports(H)
+    return not np.count_nonzero(np.add.reduceat(np.asarray(bits, dtype=np.intp)[cols], starts) % 2)
+
+
+@functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
+def _check_supports(H: ParityCheckMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """H's check supports concatenated, and where each check starts in them."""
+    sizes = [len(row) for row in H.rows]
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
+    return np.concatenate(H.rows).astype(np.intp), starts
 
 
 @functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)

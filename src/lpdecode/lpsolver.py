@@ -6,7 +6,9 @@ tableau is in condensed (dictionary) form: one row per constraint plus the
 objective row, and one column per nonbasic variable plus the rhs.  Upper
 bounds are not rows; Dantzig's upper-bounding technique (Chvatal, Linear
 Programming, 1983) handles them.  A nonbasic variable at its upper bound is
-held complemented (u - x), so every nonbasic variable sits at zero.
+held complemented (u - x), so every nonbasic variable sits at zero.  The
+tableau is row-major, and a pivot updates only the rows whose entry in the
+pivot column is nonzero while fewer than half of them are.
 
 A solve starts with every variable at the bound its cost favours: a variable
 with a negative cost is complemented to its upper bound.  With every bound
@@ -87,18 +89,18 @@ class LpSolution:
 def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, r: int, k: int) -> None:
     """Exchange the basic variable of row r with the nonbasic variable of column k.
 
-    T is column-major, so the rank-1 update is built as the transpose of a
-    row-major outer product to match its layout.  While the tableau is young
-    its pivot rows are sparse, and only their nonzero columns are updated.
+    T is row-major, and the rank-1 update touches only the rows whose entry in
+    the pivot column is nonzero when fewer than half are: the others would
+    only have a zero subtracted.  The chain's tableau stays that sparse.
     """
     col = T[:, k].copy()
     piv = col[r]
     piv_row = T[r] / piv
-    nz = np.nonzero(piv_row)[0]
-    if 2 * nz.size < piv_row.size:
-        T[:, nz] -= np.outer(piv_row[nz], col).T
+    rows = col.nonzero()[0]
+    if 2 * rows.size < col.size:
+        T[rows] -= np.multiply.outer(col[rows], piv_row)
     else:
-        T -= np.outer(piv_row, col).T
+        T -= np.multiply.outer(col, piv_row)
     T[r] = piv_row
     T[:, k] = col / -piv
     T[r, k] = 1.0 / piv
@@ -137,15 +139,13 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     eligible entry proves the LP infeasible.  After STALL_LIMIT consecutive
     pivots without progress, Bland's rule takes over (the lowest basic index
     among the violated rows leaves, the lowest tied variable index enters)
-    until the objective moves.  Work buffers are allocated once per call.
+    until the objective moves.  The ratio test computes only the eligible
+    entries' ratios, and the tie-breaks run only when two or more tie.
     """
     m = T.shape[0] - 1
     ub = upper[basis]  # upper bound of each row's basic variable, kept in step
     viol = np.empty(m)
     over = np.empty(m)
-    ratios = np.empty(T.shape[1] - 1)
-    scaled = np.empty_like(ratios)
-    eligible = np.empty(ratios.size, dtype=bool)
     it = 0
     stall = 0
     use_bland = False
@@ -172,21 +172,19 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
             T[r, -1] += ub[r]
             flipped[leaving] ^= True
         row = T[r, :-1]
-        np.less(row, -1e-7, out=eligible)
-        if not eligible.any():
-            np.less(row, -PIVOT_TOL, out=eligible)
-            if not eligible.any():
+        cand = (row < -1e-7).nonzero()[0]
+        if cand.size == 0:
+            cand = (row < -PIVOT_TOL).nonzero()[0]
+            if cand.size == 0:
                 return it, "infeasible"
-        np.maximum(T[-1, :-1], 0.0, out=scaled)
-        np.negative(scaled, out=scaled)
-        ratios.fill(np.inf)
-        np.divide(scaled, row, out=ratios, where=eligible)
-        np.less_equal(ratios, ratios.min() + FEAS_TOL, out=eligible)
-        tied = np.flatnonzero(eligible)
-        if not use_bland:
-            size = row[tied]
-            tied = tied[size == size.min()]  # largest |pivot|: the entries are negative
-        k = tied[np.argmin(nonbasic[tied])]
+        if cand.size > 1:
+            size = row[cand]
+            ratios = -np.maximum(T[-1, cand], 0.0) / size
+            tied = (ratios <= ratios.min() + FEAS_TOL).nonzero()[0]
+            cand, size = cand[tied], size[tied]
+            if cand.size > 1 and not use_bland:
+                cand = cand[size == size.min()]  # largest |pivot|: the entries are negative
+        k = cand[nonbasic[cand].argmin()] if cand.size > 1 else cand[0]
         entering = nonbasic[k]
         if trace is not None:
             trace(TraceEvent(it, "leave-at-upper" if at_upper else "pivot",
@@ -217,7 +215,7 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     n = cs.num_vars
     c = np.asarray(lp.objective, dtype=float)
     if c.shape != (n,):
-        raise DimensionError(f"objective length {c.size} != num_vars {n}")
+        raise DimensionError(f"objective shape {c.shape} != ({n},)")
     if not np.isfinite(c).all():
         raise DimensionError("objective has a non-finite cost")
     lo, up = lp.resolved_bounds()
@@ -232,17 +230,16 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     flipped = np.zeros(n + m, dtype=bool)  # True: held as upper - value
     basis = n + np.arange(m)
     nonbasic = np.arange(n)
-    T = np.zeros((m + 1, n + 1), order="F")
-    T[:m, :n] = A
-    T[:m, -1] = b - A @ lo
-    T[-1, :n] = c
-
     # start at the bound each cost favours, so no reduced cost is negative: a
-    # negative cost complements its variable to the upper bound
-    high = np.nonzero(c < 0.0)[0]
-    T[:, -1] -= T[:, high] @ upper[high]
-    T[:, high] *= -1.0
-    flipped[high] = True
+    # negative cost complements its variable (column negated) to the upper bound
+    high = c < 0.0
+    sign = np.where(high, -1.0, 1.0)
+    T = np.empty((m + 1, n + 1))
+    np.multiply(A, sign, out=T[:m, :n])
+    T[:m, -1] = b - A @ np.where(high, up, lo)
+    T[-1, :n] = c * sign
+    T[-1, -1] = -(c[high] @ upper[:n][high])
+    flipped[:n] = high
 
     iters, status = _run_dual_simplex(T, basis, nonbasic, upper, flipped, trace)
     if status == "infeasible":

@@ -6,7 +6,7 @@ import pytest
 from lpdecode import lpsolver
 from lpdecode.channel import CostVector
 from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense
-from lpdecode.decoder import (DecodeError, WitnessSearchExhausted, brute_force_ml,
+from lpdecode.decoder import (FORMULATIONS, DecodeError, WitnessSearchExhausted, brute_force_ml,
                               build_program, codewords, decode, fractional_witness,
                               gf2_nullspace_basis, is_codeword)
 from lpdecode.relaxation import decompose, decomposed_system, feldman_system
@@ -31,6 +31,16 @@ class TestCodewordEnumeration:
     def test_every_codeword_satisfies_checks(self):
         for c in codewords(HAMMING):
             assert is_codeword(HAMMING, c)
+
+    def test_is_codeword_on_every_word(self):
+        # all 2^7 words, as a list and as uint8 and bool arrays; 16 are codewords
+        found = 0
+        for word in itertools.product((0, 1), repeat=HAMMING.n):
+            expected = all(sum(word[i] for i in row) % 2 == 0 for row in HAMMING.rows)
+            for bits in (list(word), np.array(word, dtype=np.uint8), np.array(word, dtype=bool)):
+                assert is_codeword(HAMMING, bits) is expected
+            found += expected
+        assert found == 16
 
     def test_nullspace_dimension(self):
         assert len(gf2_nullspace_basis(HAMMING)) == 4
@@ -153,6 +163,19 @@ class TestDecode:
             assert out.objective.hex() == first.objective.hex()
             assert np.array_equal(out.point, first.point)
             assert out.iterations == first.iterations
+
+    def test_pivot_path_pinned(self):
+        # the pivot counts and objective bits of the solver as it stands; a
+        # change to the pivot rules or the arithmetic order shows up here
+        H = builtin_code("ldpc-48-24")
+        outs = [[decode(H, sample_gamma(H.n, 1, t), f) for f in FORMULATIONS] for t in range(4)]
+        assert [[o.iterations for o in row] for row in outs] == [
+            [61, 171], [35, 176], [31, 121], [33, 129]]
+        assert [[o.objective.hex() for o in row] for row in outs] == [
+            ["-0x1.55b07d608cd7ap+5", "-0x1.55b07d608cd79p+5"],
+            ["-0x1.e1eb4a5093eebp+5", "-0x1.e1eb4a5093eebp+5"],
+            ["-0x1.05782d5306ddap+6", "-0x1.05782d5306ddap+6"],
+            ["-0x1.e100638bda1e0p+5", "-0x1.e100638bda1e0p+5"]]
 
     def test_json_serialization(self):
         out = decode(PAPER, cost(1, -1, 1, -1))

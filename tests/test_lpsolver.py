@@ -48,6 +48,11 @@ class TestBasics:
         with pytest.raises(DimensionError):
             solve(LinearProgram([1.0, 2.0], cs))
 
+    def test_objective_shape_reported(self):
+        lp = build_program(builtin_code("ldpc-48-24"), sample_gamma(48, 1, 0), "feldman")
+        with pytest.raises(DimensionError, match=r"objective shape \(48, 1\) != \(48,\)"):
+            solve(LinearProgram(lp.objective.reshape(48, 1), lp.constraints))
+
     def test_bad_bounds(self):
         cs = make_cs([({0: 1}, 1)], 1)
         with pytest.raises(DimensionError):
@@ -317,6 +322,37 @@ class TestAntiCycling:
         assert sol.status == "optimal"
         assert sol.point == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
         assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
+
+
+def textbook_pivot(T, r, k):
+    """The dense pivot on (r, k): every cell T[i, j] - T[i, k] * (T[r, j] / T[r, k])."""
+    piv = T[r, k]
+    piv_row = T[r] / piv
+    out = T - np.outer(T[:, k], piv_row)
+    out[r] = piv_row
+    out[:, k] = T[:, k] / -piv
+    out[r, k] = 1.0 / piv
+    return out
+
+
+class TestPivot:
+    @pytest.mark.parametrize("density", [0.2, 0.9], ids=["row-sparse", "dense"])
+    def test_matches_textbook_pivot(self, density):
+        # np.array_equal compares -0.0 equal to 0.0: the row-sparse update skips
+        # the rows that would only have had a signed zero subtracted
+        rng = np.random.default_rng(2005)
+        m, n, r, k = 40, 15, 7, 4
+        T = rng.uniform(-3.0, 3.0, (m + 1, n + 1)) * (rng.random((m + 1, n + 1)) < density)
+        T[r, k] = -1.75
+        assert (2 * np.count_nonzero(T[:, k]) < m + 1) == (density < 0.5)
+        # m constraint rows, then the objective row; n nonbasic columns, then the rhs
+        basis, nonbasic = n + np.arange(m), np.arange(n)
+        expected = textbook_pivot(T, r, k)
+        lpsolver._pivot(T, basis, nonbasic, r, k)
+        assert np.array_equal(T, expected)
+        assert basis[r] == k and nonbasic[k] == n + r
+        assert np.array_equal(np.delete(basis, r), np.delete(n + np.arange(m), r))
+        assert np.array_equal(np.delete(nonbasic, k), np.delete(np.arange(n), k))
 
 
 class TestFeasibilityOfOptimum:
