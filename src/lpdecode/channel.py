@@ -65,6 +65,8 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     Distinct trial indices give statistically independent streams, so trials
     can be sampled in any order (or concurrently) with identical results.
     """
+    if seed < 0 or trial < 0:
+        raise ChannelError(f"seed and trial must be non-negative, got seed {seed}, trial {trial}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
 
 

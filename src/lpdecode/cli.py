@@ -1,9 +1,16 @@
-"""Command-line front end: counts, compare, decode, and simulate subcommands."""
+"""Command-line front end: counts, compare, decode, and simulate subcommands.
+
+This is the only module that knows the output formats.  The library returns
+plain records; they are written here as JSON or CSV in field order, and every
+key or column whose name ends in `wall_clock_ns` is dropped unless `--timing`
+is given, so default output is byte-identical across reruns.
+"""
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -74,12 +81,17 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _counts_csv(report, with_timing: bool) -> str:
+def _shown(names, timing: bool) -> list[str]:
+    """Every name with --timing; without it, every name but the *wall_clock_ns ones."""
+    return [k for k in names if timing or not k.endswith("wall_clock_ns")]
+
+
+def _counts_csv(d: dict) -> str:
     """(field, value) lines; a dict field gives one line per key, named field.key."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["field", "value"])
-    for k, v in report.to_json_dict(with_timing).items():
+    for k, v in d.items():
         if isinstance(v, dict):
             w.writerows([f"{k}.{form}", x] for form, x in v.items())
         else:
@@ -87,18 +99,18 @@ def _counts_csv(report, with_timing: bool) -> str:
     return buf.getvalue()
 
 
-def _emit_report(report, args):
-    """A counts or compare report as CSV or JSON; only compare reports have timing fields."""
+def _emit_dict(d: dict, args):
+    """A result's shown keys, as indented JSON or as (field, value) CSV lines."""
+    d = {k: d[k] for k in _shown(d, args.timing)}
     if args.format == "csv":
-        _emit(_counts_csv(report, args.timing), args.out)
+        _emit(_counts_csv(d), args.out)
     else:
-        _emit(json.dumps(report.to_json_dict(with_timing=args.timing), indent=2) + "\n",
-              args.out)
+        _emit(json.dumps(d, indent=2) + "\n", args.out)
 
 
 def cmd_counts(args) -> int:
     H = load_code(args.code)
-    _emit_report(run_counts(H, code_name=args.code), args)
+    _emit_dict(run_counts(H, code_name=args.code).to_json_dict(), args)
     return EXIT_OK
 
 
@@ -106,7 +118,7 @@ def cmd_compare(args) -> int:
     H = load_code(args.code)
     report = run_compare(H, args.num_gammas, args.seed, code_name=args.code,
                          all_positive=args.all_positive)
-    _emit_report(report, args)
+    _emit_dict(report.to_json_dict(), args)
     return EXIT_OK
 
 
@@ -114,31 +126,28 @@ def cmd_decode(args) -> int:
     H = load_code(args.code)
     gamma = parse_gamma(args.gamma)
     outcome = decode(H, gamma, args.formulation)
-    d = outcome.to_json_dict()
-    if not args.timing:
-        d.pop("wall_clock_ns")
-    _emit(json.dumps(d, indent=2) + "\n", args.out)
+    _emit_dict(dict(vars(outcome), point=outcome.point.tolist()), args)
     return EXIT_OK
 
 
-def _records_csv(records: list[TrialRecord], with_timing: bool) -> str:
+def _records_csv(records: list[TrialRecord], timing: bool) -> str:
+    """The shown fields as header, then one row per record, flags as 0/1; timing comes last."""
+    header = _shown([f.name for f in dataclasses.fields(TrialRecord)], timing)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    header = list(TrialRecord.CSV_FIELDS)
-    if with_timing:
-        header.append("wall_clock_ns")
     w.writerow(header)
-    for r in records:
-        w.writerow(r.csv_row(with_timing))
+    w.writerows([int(v) if v.__class__ is bool else v
+                 for v in list(vars(r).values())[:len(header)]] for r in records)
     return buf.getvalue()
 
 
 def cmd_simulate(args) -> int:
     H = load_code(args.code)
     ch = parse_channel(args.channel)
-    records, summary = run_simulate(H, ch, args.trials, args.seed, args.formulation)
+    formulations = FORMULATIONS if args.formulation == "both" else (args.formulation,)
+    records, summary = run_simulate(H, ch, args.trials, args.seed, formulations)
     if args.format == "json":
-        _emit(json.dumps(summary, indent=2) + "\n", args.out)
+        _emit_dict(summary, args)
     else:
         _emit(_records_csv(records, args.timing), args.out)
     return EXIT_OK

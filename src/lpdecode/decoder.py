@@ -2,7 +2,8 @@
 
 A code's decoding LP differs from decode to decode only in its costs, so each
 (code, formulation) constraint system is compiled once per process, kept in a
-bounded cache, and shared by every decode of that code.
+bounded cache, and shared by every decode of that code.  A decode returns a
+plain `DecodeOutcome`; `cli` writes it.
 """
 
 from __future__ import annotations
@@ -39,23 +40,13 @@ class DecodeOutcome:
     codeword: list[int] | None
     ml_certified: bool
     iterations: int
-    wall_clock_ns: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "formulation": self.formulation,
-            "point": self.point.tolist(),
-            "objective": self.objective,
-            "integral": self.integral,
-            "codeword": self.codeword,
-            "ml_certified": self.ml_certified,
-            "iterations": self.iterations,
-            "wall_clock_ns": self.wall_clock_ns,
-        }
+    wall_clock_ns: int  # fields are in output order
 
 
 def is_codeword(H: ParityCheckMatrix, bits) -> bool:
-    """True iff the 0/1 sequence `bits` satisfies every check of H."""
+    """True iff the 0/1 sequence `bits`, of length H.n, satisfies every check of H."""
+    if len(bits) != H.n:
+        raise DecodeError(f"word length {len(bits)} != n {H.n}")
     cols, starts = _check_supports(H)
     return not np.count_nonzero(np.add.reduceat(np.asarray(bits, dtype=np.intp)[cols], starts) % 2)
 

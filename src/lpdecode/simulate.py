@@ -1,4 +1,8 @@
-"""Comparison reports and Monte Carlo FER/BER simulation over the channel models."""
+"""Comparison reports and Monte Carlo FER/BER simulation over the channel models.
+
+Records and reports hold every field, timing included, and write nothing
+themselves; `cli` turns them into JSON or CSV and applies `--timing`.
+"""
 
 from __future__ import annotations
 
@@ -32,18 +36,7 @@ class TrialRecord:
     bit_errors: int
     frame_error: bool
     iterations: int
-    wall_clock_ns: int
-
-    CSV_FIELDS = ("trial", "seed", "channel", "sent", "formulation", "integral",
-                  "certified", "bit_errors", "frame_error", "iterations")
-
-    def csv_row(self, with_timing: bool = False) -> list:
-        row = [self.trial, self.seed, self.channel, self.sent, self.formulation,
-               int(self.integral), int(self.certified), self.bit_errors,
-               int(self.frame_error), self.iterations]
-        if with_timing:
-            row.append(self.wall_clock_ns)
-        return row
+    wall_clock_ns: int  # fields are in output order, and cli drops this last one by slicing
 
 
 @dataclass
@@ -61,30 +54,20 @@ class ComparisonReport:
     mean_iterations: dict = field(default_factory=dict)
     mean_wall_clock_ns: dict = field(default_factory=dict)
 
-    def to_json_dict(self, with_timing: bool = True) -> dict:
-        d = {
-            "schema": SCHEMA_VERSION,
-            "code": self.code,
-            "n": self.n,
-            "m": self.m,
-            "feldman_parity_rows": self.counts.feldman_parity_rows,
-            "feldman_box_rows": self.counts.feldman_box_rows,
-            "decomposed_rows": self.counts.decomposed_rows,
-            "aux_vars": self.counts.aux_vars,
-            "degree3_checks": self.counts.degree3_checks,
-            "measured_feldman_rows": self.measured_feldman_rows,
-            "measured_decomposed_rows": self.measured_decomposed_rows,
-            "measured_aux_vars": self.measured_aux_vars,
-        }
+    def to_json_dict(self) -> dict:
+        """The fields in order after the schema, with `counts` flattened into its own fields."""
+        d = {"schema": SCHEMA_VERSION, "code": self.code, "n": self.n, "m": self.m,
+             **vars(self.counts), "measured_feldman_rows": self.measured_feldman_rows,
+             "measured_decomposed_rows": self.measured_decomposed_rows,
+             "measured_aux_vars": self.measured_aux_vars}
         if self.num_gammas:
             d.update({
                 "num_gammas": self.num_gammas,
                 "seed": self.seed,
                 "max_objective_gap": self.max_objective_gap,
                 "mean_iterations": self.mean_iterations,
+                "mean_wall_clock_ns": self.mean_wall_clock_ns,
             })
-            if with_timing:
-                d["mean_wall_clock_ns"] = self.mean_wall_clock_ns
         return d
 
 
@@ -160,16 +143,17 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, f
 
 
 def _channel_id(ch: ChannelModel) -> str:
-    if isinstance(ch, Bsc):
-        return f"bsc:{ch.p:g}"
-    return f"awgn:{ch.sigma:g}"
+    """'bsc:p' or 'awgn:sigma', in `:g` form unless that would not parse back to the value."""
+    kind, value = ("bsc", ch.p) if isinstance(ch, Bsc) else ("awgn", ch.sigma)
+    text = f"{value:g}"
+    return f"{kind}:{text if float(text) == value else repr(float(value))}"
 
 
-def _trial_record(out: DecodeOutcome, trial: int, seed: int, ch: ChannelModel) -> TrialRecord:
+def _trial_record(out: DecodeOutcome, trial: int, seed: int, channel: str) -> TrialRecord:
     bit_errors = int(np.count_nonzero(out.point > 0.5))  # against the all-zero word sent
     frame_error = (not out.integral) or bool(bit_errors)
     return TrialRecord(
-        trial=trial, seed=seed, channel=_channel_id(ch), sent="zero",
+        trial=trial, seed=seed, channel=channel, sent="zero",
         formulation=out.formulation, integral=out.integral,
         certified=out.ml_certified, bit_errors=bit_errors,
         frame_error=frame_error, iterations=out.iterations,
@@ -178,22 +162,23 @@ def _trial_record(out: DecodeOutcome, trial: int, seed: int, ch: ChannelModel) -
 
 
 def run_simulate(H: ParityCheckMatrix, ch: ChannelModel, trials: int, seed: int,
-                 formulation: str = "feldman") -> tuple[list[TrialRecord], dict]:
+                 formulations: tuple[str, ...] = ("feldman",)) -> tuple[list[TrialRecord], dict]:
     """Monte Carlo trials with the all-zero codeword; returns records and a summary.
 
-    The all-zero word suffices because both channels are output-symmetric and
-    the relaxed polytopes are codeword-symmetric.  Trial t draws from the
-    derived stream (seed, t), so results are independent of execution order.
+    Each trial is decoded under every formulation named, in that order.  The
+    all-zero word suffices because both channels are output-symmetric and the
+    relaxed polytopes are codeword-symmetric.  Trial t draws from the derived
+    stream (seed, t), so results are independent of execution order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    formulations = FORMULATIONS if formulation == "both" else (formulation,)
     sent = np.zeros(H.n, dtype=int)
-    records = [_trial_record(out, t, seed, ch)
+    channel = _channel_id(ch)
+    records = [_trial_record(out, t, seed, channel)
                for t, outcomes in _decode_trials(
                    H, lambda t: llr_costs(transmit(sent, ch, seed, t), ch), trials, formulations)
                for out in outcomes.values()]
-    summary = {"schema": SCHEMA_VERSION, "channel": _channel_id(ch),
+    summary = {"schema": SCHEMA_VERSION, "channel": channel,
                "trials": trials, "seed": seed, "n": H.n, "per_formulation": {}}
     for form in formulations:
         recs = [r for r in records if r.formulation == form]

@@ -166,7 +166,7 @@ def test_criterion_8_measured_comparison_report():
     t0 = time.perf_counter()
     rep = run_compare(builtin_code("ldpc-48-24"), num_gammas=10, seed=8,
                       code_name="ldpc-48-24")
-    d = rep.to_json_dict(with_timing=True)
+    d = rep.to_json_dict()
     assert d["measured_feldman_rows"] == 768 + 96
     assert d["measured_decomposed_rows"] == 384
     elapsed = time.perf_counter() - t0

@@ -109,10 +109,10 @@ class TestCompareCsv:
     def test_csv_equals_json(self, capsys):
         # one report in both formats, since wall-clock means differ from run to run
         report = run_compare(builtin_code("hamming-7-4"), 4, 2, code_name="builtin:hamming-7-4")
-        rows = list(csv.reader(io.StringIO(_counts_csv(report, with_timing=True))))
+        rows = list(csv.reader(io.StringIO(_counts_csv(report.to_json_dict()))))
         assert rows[0] == ["field", "value"]
         flat = {}
-        for k, v in report.to_json_dict(with_timing=True).items():
+        for k, v in report.to_json_dict().items():
             if isinstance(v, dict):
                 flat.update({f"{k}.{form}": str(x) for form, x in v.items()})
             else:
@@ -137,6 +137,62 @@ class TestCompareCsv:
                        "feldman_parity_rows,8\nfeldman_box_rows,8\ndecomposed_rows,8\n"
                        "aux_vars,0\ndegree3_checks,2\nmeasured_feldman_rows,16\n"
                        "measured_decomposed_rows,8\nmeasured_aux_vars,0\n")
+
+
+class TestGoldenOutput:
+    """Exact output bytes and key order, pinned across refactors of the writers."""
+
+    COMPARE_KEYS = ["schema", "code", "n", "m", "feldman_parity_rows", "feldman_box_rows",
+                    "decomposed_rows", "aux_vars", "degree3_checks", "measured_feldman_rows",
+                    "measured_decomposed_rows", "measured_aux_vars", "num_gammas", "seed",
+                    "max_objective_gap", "mean_iterations"]
+
+    def test_decode_json(self, capsys):
+        code, out = run(capsys, "decode", "--code", "builtin:paper-example", "--gamma=1,-1,1,-1")
+        assert code == 0
+        assert out == ('{\n  "formulation": "feldman",\n  "point": [\n    1.0,\n    1.0,\n'
+                       '    0.0,\n    1.0\n  ],\n  "objective": -1.0,\n  "integral": true,\n'
+                       '  "codeword": [\n    1,\n    1,\n    0,\n    1\n  ],\n'
+                       '  "ml_certified": true,\n  "iterations": 1\n}\n')
+        _, timed = run(capsys, "decode", "--code", "builtin:paper-example", "--gamma=1,-1,1,-1",
+                       "--timing")
+        assert list(json.loads(timed)) == list(json.loads(out)) + ["wall_clock_ns"]
+
+    def test_simulate_csv(self, capsys):
+        args = ("simulate", "--code", "builtin:hamming-7-4", "--channel", "bsc:0.05",
+                "--trials", "4", "--seed", "3", "--formulation", "both")
+        header = ("trial,seed,channel,sent,formulation,integral,certified,bit_errors,"
+                  "frame_error,iterations")
+        code, out = run(capsys, *args)
+        assert code == 0
+        assert out == (header + "\n"
+                       "0,3,bsc:0.05,zero,feldman,1,1,0,0,0\n"
+                       "0,3,bsc:0.05,zero,decomposed,1,1,0,0,0\n"
+                       "1,3,bsc:0.05,zero,feldman,1,1,0,0,0\n"
+                       "1,3,bsc:0.05,zero,decomposed,1,1,0,0,0\n"
+                       "2,3,bsc:0.05,zero,feldman,1,1,4,1,1\n"
+                       "2,3,bsc:0.05,zero,decomposed,1,1,4,1,4\n"
+                       "3,3,bsc:0.05,zero,feldman,1,1,0,0,0\n"
+                       "3,3,bsc:0.05,zero,decomposed,1,1,0,0,0\n")
+        _, timed = run(capsys, *args, "--timing")
+        lines = timed.splitlines()
+        assert lines[0] == header + ",wall_clock_ns"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == out.splitlines()[1:]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_compare_key_order(self, capsys, fmt):
+        args = ("compare", "--code", "builtin:paper-example", "--num-gammas", "2", "--seed", "1",
+                "--format", fmt)
+
+        def keys(out):
+            if fmt == "json":
+                return list(json.loads(out))
+            return list(dict.fromkeys(row[0].split(".")[0] for row in csv.reader(io.StringIO(out))))
+
+        _, plain = run(capsys, *args)
+        _, timed = run(capsys, *args, "--timing")
+        assert keys(plain) == (["field"] if fmt == "csv" else []) + self.COMPARE_KEYS
+        assert keys(timed) == keys(plain) + ["mean_wall_clock_ns"]
 
 
 class TestDecode:
@@ -307,3 +363,15 @@ class TestSimulate:
         code, _ = run(capsys, "simulate", "--code", "builtin:paper-example",
                       "--channel", "laser:9", "--trials", "1")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (("compare", "--code", "builtin:paper-example", "--seed", "-1"), -1),
+    (("simulate", "--code", "builtin:paper-example", "--channel", "bsc:0.1", "--trials", "2",
+      "--seed", "-3"), -3)])
+def test_negative_seed(capsys, argv, seed):
+    # an input error, with a message that names the seed
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"seed and trial must be non-negative, got seed {seed}, trial 0" in captured.err

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestCodewordEnumeration:
                 assert is_codeword(HAMMING, bits) is expected
             found += expected
         assert found == 16
+
+    @pytest.mark.parametrize("length", [3, 12])
+    def test_is_codeword_wrong_length(self, length):
+        # a longer word must not pass on its first n bits, nor a shorter one index past its end
+        with pytest.raises(DecodeError, match=f"word length {length} != n 7"):
+            is_codeword(HAMMING, [0] * 7 + [1] * 5 if length == 12 else [0] * length)
 
     def test_nullspace_dimension(self):
         assert len(gf2_nullspace_basis(HAMMING)) == 4
@@ -178,12 +185,13 @@ class TestDecode:
             ["-0x1.e100638bda1e0p+5", "-0x1.e100638bda1e0p+5"]]
 
     def test_json_serialization(self):
+        # the field order is the decode JSON's key order, pinned by test_cli's golden test
         out = decode(PAPER, cost(1, -1, 1, -1))
-        d = out.to_json_dict()
-        assert d["formulation"] == "feldman"
-        assert isinstance(d["point"], list)
-        assert set(d) >= {"objective", "integral", "codeword", "ml_certified",
-                          "iterations", "wall_clock_ns"}
+        assert [f.name for f in dataclasses.fields(out)] == [
+            "formulation", "point", "objective", "integral", "codeword", "ml_certified",
+            "iterations", "wall_clock_ns"]
+        assert out.formulation == "feldman"
+        assert isinstance(out.point, np.ndarray)
 
 
 class TestFractionalWitness:

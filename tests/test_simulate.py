@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lpdecode import simulate
-from lpdecode.channel import Bsc
+from lpdecode.channel import Awgn, Bsc
+from lpdecode.cli import parse_channel
 from lpdecode.codes import builtin_code
 from lpdecode.decoder import FORMULATIONS, decode
 from lpdecode.simulate import (CountsMismatchError, run_compare, run_counts, run_simulate,
@@ -104,7 +105,8 @@ class TestSimulate:
         ch = Bsc(p=0.05)
         recs1, sum1 = run_simulate(HAMMING, ch, 20, seed=9)
         recs2, sum2 = run_simulate(HAMMING, ch, 20, seed=9)
-        assert [r.csv_row() for r in recs1] == [r.csv_row() for r in recs2]
+        untimed = [[dataclasses.replace(r, wall_clock_ns=0) for r in rs] for rs in (recs1, recs2)]
+        assert untimed[0] == untimed[1]
         assert sum1 == sum2
 
     def test_summary_consistency(self):
@@ -129,7 +131,7 @@ class TestSimulate:
         assert not recs[0].frame_error
 
     def test_both_formulations_agree_per_trial(self):
-        recs, _ = run_simulate(PAPER, Bsc(p=0.1), 30, seed=4, formulation="both")
+        recs, _ = run_simulate(PAPER, Bsc(p=0.1), 30, seed=4, formulations=FORMULATIONS)
         by_trial = {}
         for r in recs:
             by_trial.setdefault(r.trial, []).append(r)
@@ -144,6 +146,16 @@ class TestSimulate:
             _, summary = run_simulate(PAPER, Bsc(p=p), 300, seed=77)
             fers.append(summary["per_formulation"]["feldman"]["fer"])
         assert fers[0] <= fers[1]
+
+    @pytest.mark.parametrize("ch, cid", [(Bsc(p=0.05), "bsc:0.05"), (Awgn(sigma=0.7), "awgn:0.7"),
+                                         (Bsc(p=1e-9), "bsc:1e-09"),
+                                         (Awgn(sigma=0.1234567), "awgn:0.1234567"),
+                                         (Bsc(p=1 / 3), "bsc:0.3333333333333333")])
+    def test_channel_id_round_trips(self, ch, cid):
+        # `:g` form wherever it parses back to the channel, the full repr elsewhere
+        recs, summary = run_simulate(PAPER, ch, 1, seed=0)
+        assert recs[0].channel == summary["channel"] == cid
+        assert parse_channel(cid) == ch
 
     def test_bad_trials(self):
         with pytest.raises(ValueError):
