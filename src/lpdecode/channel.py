@@ -42,6 +42,27 @@ class Awgn:
 ChannelModel = Bsc | Awgn
 
 
+def parse_channel(spec: str) -> ChannelModel:
+    """The channel that `bsc:p` or `awgn:sigma` names."""
+    kind, _, arg = spec.partition(":")
+    try:
+        value = float(arg)
+    except ValueError:
+        raise ChannelError(f"bad channel spec {spec!r}; expected bsc:p or awgn:sigma") from None
+    if kind == "bsc":
+        return Bsc(p=value)
+    if kind == "awgn":
+        return Awgn(sigma=value)
+    raise ChannelError(f"unknown channel kind {kind!r}")
+
+
+def channel_id(ch: ChannelModel) -> str:
+    """'bsc:p' or 'awgn:sigma', in `:g` form unless that would not parse back to the value."""
+    kind, value = ("bsc", ch.p) if isinstance(ch, Bsc) else ("awgn", ch.sigma)
+    text = f"{value:g}"
+    return f"{kind}:{text if float(text) == value else repr(float(value))}"
+
+
 @dataclass(frozen=True, eq=False)
 class CostVector:
     """Per-bit costs, stored as a read-only float64 copy of any finite 1-D sequence."""

@@ -13,13 +13,14 @@ import csv
 import dataclasses
 import io
 import json
+import operator
 import os
 import sys
 from pathlib import Path
 
 from . import lpsolver
-from .channel import Awgn, Bsc, CostVector
-from .codes import ParityCheckMatrix, builtin_code, parse_alist
+from .channel import CostVector, parse_channel
+from .codes import BUILTINS, ParityCheckMatrix, builtin_code, parse_alist
 from .decoder import FORMULATIONS, DecodeError, decode
 from .simulate import CountsMismatchError, TrialRecord, run_compare, run_counts, run_simulate
 
@@ -40,19 +41,6 @@ def load_code(source: str) -> ParityCheckMatrix:
     if not path.is_file():
         raise InputError(f"no such code file: {source}")
     return parse_alist(path.read_text())
-
-
-def parse_channel(spec: str):
-    kind, _, arg = spec.partition(":")
-    try:
-        value = float(arg)
-    except ValueError:
-        raise InputError(f"bad channel spec {spec!r}; expected bsc:p or awgn:sigma") from None
-    if kind == "bsc":
-        return Bsc(p=value)
-    if kind == "awgn":
-        return Awgn(sigma=value)
-    raise InputError(f"unknown channel kind {kind!r}")
 
 
 def parse_gamma(spec: str) -> CostVector:
@@ -131,13 +119,13 @@ def cmd_decode(args) -> int:
 
 
 def _records_csv(records: list[TrialRecord], timing: bool) -> str:
-    """The shown fields as header, then one row per record, flags as 0/1; timing comes last."""
+    """The shown fields as header, then one row per record, flags as 0/1."""
     header = _shown([f.name for f in dataclasses.fields(TrialRecord)], timing)
+    shown = operator.attrgetter(*header)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows([int(v) if v.__class__ is bool else v
-                 for v in list(vars(r).values())[:len(header)]] for r in records)
+    w.writerows([int(v) if v.__class__ is bool else v for v in shown(r)] for r in records)
     return buf.getvalue()
 
 
@@ -161,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, default_format, formats=("csv", "json")):
         sp.add_argument("--code", required=True,
-                        help="alist file path or builtin:{paper-example,hamming-7-4,ldpc-48-24}")
+                        help=f"alist file path or builtin:{{{','.join(BUILTINS)}}}")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=formats, default=default_format)
         sp.add_argument("--timing", action="store_true",

@@ -95,13 +95,18 @@ def from_dense(rows: list[list[int]]) -> ParityCheckMatrix:
     return ParityCheckMatrix(n=n, rows=tuple(supports))
 
 
-def degree_profile(H: ParityCheckMatrix) -> DegreeProfile:
-    check_degrees = tuple(len(row) for row in H.rows)
-    var_degrees = [0] * H.n
-    for row in H.rows:
+def _variable_checks(H: ParityCheckMatrix) -> list[list[int]]:
+    """For each column of H, the increasing indices of the checks that contain it."""
+    checks: list[list[int]] = [[] for _ in range(H.n)]
+    for j, row in enumerate(H.rows):
         for i in row:
-            var_degrees[i] += 1
-    return DegreeProfile(check_degrees=check_degrees, variable_degrees=tuple(var_degrees))
+            checks[i].append(j)
+    return checks
+
+
+def degree_profile(H: ParityCheckMatrix) -> DegreeProfile:
+    return DegreeProfile(check_degrees=tuple(len(row) for row in H.rows),
+                         variable_degrees=tuple(map(len, _variable_checks(H))))
 
 
 def _tokens(text: str) -> list[int]:
@@ -121,6 +126,8 @@ def parse_alist(text: str | bytes) -> ParityCheckMatrix:
     Layout: "n m", max degrees, n variable degrees, m check degrees, then n
     variable-node lines of 1-based check indices and m check-node lines of
     1-based variable indices.  Zero entries are padding and are stripped.
+    The matrix is built from the check side; each variable line must then list
+    exactly the checks that contain that variable.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -143,58 +150,37 @@ def parse_alist(text: str | bytes) -> ParityCheckMatrix:
     if len(var_degrees) != n or len(check_degrees) != m:
         raise AlistFormatError("degree list lengths do not match n/m")
 
-    var_adj: list[set[int]] = []
-    for i in range(n):
-        entries = [e for e in _tokens(lines[4 + i]) if e != 0]
-        for e in entries:
-            if not (1 <= e <= m):
-                raise AlistFormatError(f"variable {i}: check index {e} out of range [1, {m}]")
-        if len(entries) != var_degrees[i]:
-            raise AlistFormatError(f"variable {i}: degree {var_degrees[i]} but {len(entries)} entries")
-        var_adj.append({e - 1 for e in entries})
-
     supports = []
     for j in range(m):
         entries = [e for e in _tokens(lines[4 + n + j]) if e != 0]
-        for e in entries:
-            if not (1 <= e <= n):
-                raise AlistFormatError(f"check {j}: variable index {e} out of range [1, {n}]")
         if len(entries) != check_degrees[j]:
-            raise AlistFormatError(f"check {j}: degree {check_degrees[j]} but {len(entries)} entries")
-        support = sorted(e - 1 for e in entries)
-        for a, b in zip(support, support[1:]):
-            if a == b:
-                raise AlistFormatError(f"check {j}: duplicate variable index {a + 1}")
-        for i in support:
-            if j not in var_adj[i]:
-                raise AlistFormatError(f"adjacency mismatch: check {j} lists variable {i + 1} "
-                                       "but the variable side does not")
-        supports.append(tuple(support))
-
-    total_var = sum(len(s) for s in var_adj)
-    total_check = sum(len(s) for s in supports)
-    if total_var != total_check:
-        raise AlistFormatError("variable-side and check-side entry counts differ")
+            raise AlistFormatError(
+                f"check {j + 1}: degree {check_degrees[j]} but {len(entries)} entries")
+        supports.append(sorted(e - 1 for e in entries))
     try:
-        return ParityCheckMatrix(n=n, rows=tuple(supports))
+        H = ParityCheckMatrix(n=n, rows=supports)
     except CodeError as e:
-        raise AlistFormatError(str(e)) from None
+        raise AlistFormatError(f"check side, counted from 0: {e}") from None
+
+    for i, checks in enumerate(_variable_checks(H)):
+        listed = sorted(e - 1 for e in _tokens(lines[4 + i]) if e != 0)
+        if (var_degrees[i], listed) != (len(checks), checks):
+            raise AlistFormatError(
+                f"variable {i + 1}: degree {var_degrees[i]} and checks {[e + 1 for e in listed]}, "
+                f"but the check side puts it in checks {[j + 1 for j in checks]}")
+    return H
 
 
 def write_alist(H: ParityCheckMatrix) -> str:
     """Serialize to alist text; parse_alist(write_alist(H)) == H."""
     prof = degree_profile(H)
-    var_adj: list[list[int]] = [[] for _ in range(H.n)]
-    for j, row in enumerate(H.rows):
-        for i in row:
-            var_adj[i].append(j)
     lines = [
         f"{H.n} {H.m}",
         f"{max(prof.variable_degrees)} {max(prof.check_degrees)}",
         " ".join(str(d) for d in prof.variable_degrees),
         " ".join(str(d) for d in prof.check_degrees),
     ]
-    for adj in var_adj:
+    for adj in _variable_checks(H):
         lines.append(" ".join(str(j + 1) for j in adj) if adj else "0")
     for row in H.rows:
         lines.append(" ".join(str(i + 1) for i in row))
@@ -225,7 +211,7 @@ def _ldpc_48_24() -> ParityCheckMatrix:
 
 LDPC_48_24 = _ldpc_48_24()
 
-_BUILTINS = {
+BUILTINS = {
     "paper-example": PAPER_EXAMPLE,
     "hamming-7-4": HAMMING_7_4,
     "ldpc-48-24": LDPC_48_24,
@@ -233,9 +219,9 @@ _BUILTINS = {
 
 
 def builtin_code(name: str) -> ParityCheckMatrix:
-    """Return a named built-in code: paper-example, hamming-7-4, or ldpc-48-24."""
+    """Return the built-in code of that name, one of the keys of `BUILTINS`."""
     try:
-        return _BUILTINS[name]
+        return BUILTINS[name]
     except KeyError:
         raise UnknownCodeError(
-            f"unknown code {name!r}; available: {', '.join(sorted(_BUILTINS))}") from None
+            f"unknown code {name!r}; available: {', '.join(sorted(BUILTINS))}") from None

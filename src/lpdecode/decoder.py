@@ -110,32 +110,24 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
 
 
 def gf2_nullspace_basis(H: ParityCheckMatrix) -> list[np.ndarray]:
-    """Basis of {x : H.x = 0 over GF(2)} via Gaussian elimination."""
+    """Basis of {x : H.x = 0 over GF(2)} via Gauss-Jordan elimination."""
     A = np.array(H.to_dense(), dtype=np.uint8)
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for col in range(n):
-        rows = np.nonzero(A[r:, col])[0]
-        if rows.size == 0:
+    pivots: list[int] = []
+    for col in range(H.n):
+        r = len(pivots)
+        below = np.flatnonzero(A[r:, col])
+        if below.size == 0:
             continue
-        pr = r + rows[0]
-        A[[r, pr]] = A[[pr, r]]
-        for i in range(m):
-            if i != r and A[i, col]:
-                A[i] ^= A[r]
+        A[[r, r + below[0]]] = A[[r + below[0], r]]
+        others = A[:, col].astype(bool)
+        others[r] = False
+        A[others] ^= A[r]
         pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
-        v = np.zeros(n, dtype=np.uint8)
+    for fc in sorted(set(range(H.n)) - set(pivots)):
+        v = np.zeros(H.n, dtype=np.uint8)
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            if A[i, fc]:
-                v[pc] = 1
+        v[pivots] = A[:len(pivots), fc]
         basis.append(v)
     return basis
 
@@ -157,15 +149,8 @@ def brute_force_ml(H: ParityCheckMatrix, gamma: CostVector) -> tuple[list[int], 
     """Exhaustive argmin of Gamma.c over all codewords; lexicographic tie-break."""
     if len(gamma) != H.n:
         raise DecodeError(f"cost length {len(gamma)} != n {H.n}")
-    g = gamma.gammas
-    best = None
-    best_obj = None
-    for cw in codewords(H):
-        obj = float(g @ cw)
-        key = tuple(int(b) for b in cw)
-        if best is None or obj < best_obj or (obj == best_obj and key < tuple(best)):
-            best, best_obj = list(key), obj
-    return best, best_obj
+    objective, word = min((float(gamma.gammas @ cw), cw.tolist()) for cw in codewords(H))
+    return word, objective
 
 
 class WitnessSearchExhausted(Exception):

@@ -32,10 +32,6 @@ class RelaxationError(ValueError):
     pass
 
 
-class DegreeTooLowError(RelaxationError):
-    """Check degree below 3, which the closed-form counts do not cover."""
-
-
 @dataclass(slots=True)
 class Row:
     """One inequality sum_i coeffs[i] * x_i <= rhs; coefficients are exact ints."""
@@ -172,17 +168,17 @@ def decomposed_system(D: ParityCheckMatrix, n_original: int) -> ConstraintSystem
 
 
 def count_constraints(profile: DegreeProfile, n: int) -> ConstraintCounts:
-    """Closed-form row/variable counts for both formulations; needs all d >= 3."""
-    for j, d in enumerate(profile.check_degrees):
-        if d < 3:
-            raise DegreeTooLowError(f"check {j} has degree {d} < 3")
+    """Closed-form row/variable counts for both formulations, by `decompose`'s rule:
+    a check of degree d >= 3 becomes d-2 triples of 4 rows each, linked by d-3
+    auxiliaries, and a check of degree 1 or 2 keeps its 2^(d-1) rows."""
     degs = profile.check_degrees
+    chained = [d for d in degs if d >= 3]
     return ConstraintCounts(
         feldman_parity_rows=sum(2 ** (d - 1) for d in degs),
         feldman_box_rows=2 * n,
-        decomposed_rows=4 * sum(d - 2 for d in degs),
-        aux_vars=sum(d - 3 for d in degs),
-        degree3_checks=sum(d - 2 for d in degs),
+        decomposed_rows=4 * sum(d - 2 for d in chained) + sum(2 ** (d - 1) for d in degs if d < 3),
+        aux_vars=sum(d - 3 for d in chained),
+        degree3_checks=sum(d - 2 for d in chained),
     )
 
 

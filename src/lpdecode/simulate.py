@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Bsc, ChannelModel, CostVector, llr_costs, transmit, trial_rng
+from .channel import ChannelModel, CostVector, channel_id, llr_costs, transmit, trial_rng
 from .codes import ParityCheckMatrix, degree_profile
 from .decoder import FORMULATIONS, DecodeOutcome, decode
 from .relaxation import (ConstraintCounts, count_constraints, decompose, decomposed_system,
@@ -36,7 +36,7 @@ class TrialRecord:
     bit_errors: int
     frame_error: bool
     iterations: int
-    wall_clock_ns: int  # fields are in output order, and cli drops this last one by slicing
+    wall_clock_ns: int
 
 
 @dataclass
@@ -142,13 +142,6 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _channel_id(ch: ChannelModel) -> str:
-    """'bsc:p' or 'awgn:sigma', in `:g` form unless that would not parse back to the value."""
-    kind, value = ("bsc", ch.p) if isinstance(ch, Bsc) else ("awgn", ch.sigma)
-    text = f"{value:g}"
-    return f"{kind}:{text if float(text) == value else repr(float(value))}"
-
-
 def _trial_record(out: DecodeOutcome, trial: int, seed: int, channel: str) -> TrialRecord:
     bit_errors = int(np.count_nonzero(out.point > 0.5))  # against the all-zero word sent
     frame_error = (not out.integral) or bool(bit_errors)
@@ -173,7 +166,7 @@ def run_simulate(H: ParityCheckMatrix, ch: ChannelModel, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sent = np.zeros(H.n, dtype=int)
-    channel = _channel_id(ch)
+    channel = channel_id(ch)
     records = [_trial_record(out, t, seed, channel)
                for t, outcomes in _decode_trials(
                    H, lambda t: llr_costs(transmit(sent, ch, seed, t), ch), trials, formulations)

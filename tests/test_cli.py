@@ -52,12 +52,16 @@ class TestCounts:
         code, _ = run(capsys, "counts", "--code", "/does/not/exist.alist")
         assert code == 2
 
-    def test_degree2_strict_error(self, tmp_path, capsys):
-        # degree-2 row: strict counting must refuse
+    def test_degree2_check_counted(self, tmp_path, capsys):
+        # the chain keeps a degree-2 check as it is: its 2 odd-subset rows, no auxiliaries
         path = tmp_path / "deg2.alist"
         path.write_text("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n")
-        code, _ = run(capsys, "counts", "--code", str(path))
-        assert code == 2
+        for argv in (("counts",), ("compare", "--num-gammas", "3")):
+            code, out = run(capsys, *argv, "--code", str(path))
+            assert code == 0
+            d = json.loads(out)
+            assert (d["decomposed_rows"], d["aux_vars"], d["degree3_checks"]) == (2, 0, 0)
+            assert d["measured_decomposed_rows"] == 2
 
     def test_counts_mismatch_exit_code(self, capsys, monkeypatch):
         # formula and generated systems disagreeing is a program fault, not bad input

@@ -7,6 +7,7 @@ from lpdecode.codes import (AlistFormatError, CodeError, ParityCheckMatrix,
                             UnknownCodeError, builtin_code, degree_profile,
                             from_dense, parse_alist, write_alist)
 from lpdecode.channel import CostVector
+from lpdecode.cli import main
 from lpdecode.decoder import codewords, decode
 
 from conftest import random_matrix
@@ -132,6 +133,26 @@ class TestAlist:
         text = "2 2\n1 2\n1 1\n1 2\n1\n2\n1\n1 2\n"
         with pytest.raises(AlistFormatError):
             parse_alist(text)
+
+    # all but the last break one rule of the valid 3-bit code with checks {1, 2} and {2, 3}:
+    # "3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n"
+    @pytest.mark.parametrize("text", [
+        pytest.param("3 2\n2 2\n1 2 1\n2 2\n3\n1 2\n2\n1 2\n2 3\n", id="variable-index-range"),
+        pytest.param("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 4\n", id="check-index-range"),
+        pytest.param("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 1\n2 3\n", id="check-duplicate"),
+        pytest.param("3 2\n2 2\n1 2 2\n2 2\n1\n1 2\n2\n1 2\n2 3\n", id="variable-degree"),
+        pytest.param("3 2\n2 2\n1 2 1\n2 3\n1\n1 2\n2\n1 2\n2 3\n", id="check-degree"),
+        pytest.param("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 3\n2 3\n", id="check-lists-extra"),
+        pytest.param("3 2\n2 2\n2 2 1\n2 2\n1 2\n1 2\n2\n1 2\n2 3\n", id="variable-lists-extra"),
+        # variable 1 lists check 1 twice, the check side once
+        pytest.param("3 1\n2 3\n2 1 1\n3\n1 1\n1\n1\n1 2 3\n", id="variable-duplicate"),
+    ])
+    def test_malformed_rejected(self, text, tmp_path):
+        with pytest.raises(AlistFormatError):
+            parse_alist(text)
+        path = tmp_path / "bad.alist"
+        path.write_text(text)
+        assert main(["counts", "--code", str(path)]) == 2
 
     def test_roundtrip_random(self, rng):
         for _ in range(50):

@@ -13,7 +13,7 @@ from lpdecode.decoder import (FORMULATIONS, DecodeError, WitnessSearchExhausted,
 from lpdecode.relaxation import decompose, decomposed_system, feldman_system
 from lpdecode.simulate import sample_gamma
 
-from conftest import enumerate_vertices
+from conftest import enumerate_vertices, random_matrix
 
 PAPER = builtin_code("paper-example")
 HAMMING = builtin_code("hamming-7-4")
@@ -76,6 +76,15 @@ class TestBruteForceMl:
     def test_length_mismatch(self):
         with pytest.raises(DecodeError):
             brute_force_ml(PAPER, cost(1, 1, 1))
+
+    def test_matches_direct_scan(self, rng):
+        # all 2^n words, no elimination; +-1 costs make ties, broken by the smaller word
+        for _ in range(50):
+            H = random_matrix(rng, max_checks=6, min_degree=1, max_degree=5)
+            gamma = CostVector(gammas=rng.integers(0, 2, H.n) * 2 - 1)
+            best = min((float(gamma.gammas @ np.array(w)), list(w))
+                       for w in itertools.product((0, 1), repeat=H.n) if is_codeword(H, w))
+            assert brute_force_ml(H, gamma) == (best[1], best[0])
 
 
 class TestDecode:

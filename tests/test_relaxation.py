@@ -6,9 +6,8 @@ import pytest
 from lpdecode import lpsolver
 from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile, from_dense
 from lpdecode.decoder import codewords
-from lpdecode.relaxation import (MAX_CELLS, DegreeTooLowError, RelaxationError,
-                                 count_constraints, decompose, decomposed_system,
-                                 feldman_system, odd_binomial_sum)
+from lpdecode.relaxation import (MAX_CELLS, RelaxationError, count_constraints, decompose,
+                                 decomposed_system, feldman_system, odd_binomial_sum)
 
 from conftest import random_matrix
 
@@ -269,18 +268,13 @@ class TestCounts:
         assert counts.aux_vars == 72
         assert counts.degree3_checks == 96
 
-    def test_rejects_low_degree(self):
-        H = from_dense([[1, 1]])
-        with pytest.raises(DegreeTooLowError):
-            count_constraints(degree_profile(H), 2)
-
     def test_binomial_identity(self):
         for d in range(1, 31):
             assert odd_binomial_sum(d) == 2 ** (d - 1)
 
     def test_counts_match_generated_rows(self, rng):
-        for _ in range(50):
-            H = random_matrix(rng)
+        # min_degree=1 adds checks of degree 1 and 2, which the chain code keeps unchanged
+        for H in [random_matrix(rng, min_degree=d) for d in (3, 1) for _ in range(50)]:
             prof = degree_profile(H)
             counts = count_constraints(prof, H.n)
             fs = feldman_system(H, include_boxes=True)
@@ -289,7 +283,8 @@ class TestCounts:
             assert len(fs.rows) == counts.feldman_parity_rows + counts.feldman_box_rows
             assert len(ds.rows) == counts.decomposed_rows
             assert D.n - H.n == counts.aux_vars
-            assert degree_profile(D).check_degrees == (3,) * counts.degree3_checks
+            short = tuple(d for d in prof.check_degrees if d < 3)
+            assert degree_profile(D).check_degrees == (3,) * counts.degree3_checks + short
 
 
 def chain_extend(D, bits):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lpdecode import simulate
-from lpdecode.channel import Awgn, Bsc
-from lpdecode.cli import parse_channel
+from lpdecode.channel import Awgn, Bsc, channel_id, parse_channel
 from lpdecode.codes import builtin_code
 from lpdecode.decoder import FORMULATIONS, decode
 from lpdecode.simulate import (CountsMismatchError, run_compare, run_counts, run_simulate,
@@ -154,7 +153,7 @@ class TestSimulate:
     def test_channel_id_round_trips(self, ch, cid):
         # `:g` form wherever it parses back to the channel, the full repr elsewhere
         recs, summary = run_simulate(PAPER, ch, 1, seed=0)
-        assert recs[0].channel == summary["channel"] == cid
+        assert recs[0].channel == summary["channel"] == channel_id(ch) == cid
         assert parse_channel(cid) == ch
 
     def test_bad_trials(self):
