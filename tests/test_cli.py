@@ -183,6 +183,15 @@ class TestGoldenOutput:
         assert lines[0] == header + ",wall_clock_ns"
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == out.splitlines()[1:]
 
+    def test_simulate_hard_decision_codeword(self, capsys):
+        # trial 8's hard decision is a nonzero codeword, 3 bits from the one
+        # sent: both formulations return it without solving an LP
+        code, out = run(capsys, "simulate", "--code", "builtin:hamming-7-4", "--channel",
+                        "bsc:0.05", "--trials", "9", "--seed", "135", "--formulation", "both")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["8,135,bsc:0.05,zero,feldman,1,1,3,1,0",
+                                         "8,135,bsc:0.05,zero,decomposed,1,1,3,1,0"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_compare_key_order(self, capsys, fmt):
         args = ("compare", "--code", "builtin:paper-example", "--num-gammas", "2", "--seed", "1",

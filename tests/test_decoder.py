@@ -6,10 +6,10 @@ import pytest
 
 from lpdecode import lpsolver
 from lpdecode.channel import CostVector
-from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense
-from lpdecode.decoder import (FORMULATIONS, DecodeError, WitnessSearchExhausted, brute_force_ml,
-                              build_program, codewords, decode, fractional_witness,
-                              gf2_nullspace_basis, is_codeword)
+from lpdecode.codes import BUILTINS, ParityCheckMatrix, builtin_code, from_dense
+from lpdecode.decoder import (FORMULATIONS, ML_ENUM_LIMIT, DecodeError, WitnessSearchExhausted,
+                              brute_force_ml, build_program, codewords, decode,
+                              fractional_witness, gf2_nullspace_basis, is_codeword)
 from lpdecode.relaxation import decompose, decomposed_system, feldman_system
 from lpdecode.simulate import sample_gamma
 
@@ -107,6 +107,14 @@ class TestDecode:
         with pytest.raises(DecodeError):
             decode(PAPER, cost(1, 1, 1, 1), "belief-propagation")
 
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_cost_length_checked_before_hard_decision(self, formulation, length):
+        # all-positive costs make the hard decision the zero word; the cost
+        # length must be refused as such, not reach the codeword check
+        with pytest.raises(DecodeError, match=f"cost length {length} != n 4"):
+            decode(PAPER, cost(*[1] * length), formulation)
+
     def test_objective_matches_point(self):
         for t in range(20):
             gamma = sample_gamma(7, 99, t)
@@ -201,6 +209,54 @@ class TestDecode:
             "iterations", "wall_clock_ns"]
         assert out.formulation == "feldman"
         assert isinstance(out.point, np.ndarray)
+
+
+class TestHardDecisionFastPath:
+    """A hard decision that is a codeword is both LPs' optimum; no LP is solved for it."""
+
+    @staticmethod
+    def cases(rng):
+        """(H, codeword, costs of its sign pattern with random magnitudes) triples."""
+        codes = [builtin_code(name) for name in BUILTINS]
+        codes += [random_matrix(rng, max_checks=8, max_degree=6) for _ in range(4)]
+        for H in codes:
+            basis = gf2_nullspace_basis(H)
+            for _ in range(4):
+                cw = np.zeros(H.n, dtype=np.uint8)
+                for v, bit in zip(basis, rng.integers(0, 2, len(basis))):
+                    if bit:
+                        cw ^= v
+                magnitudes = rng.uniform(0.1, 2.0, H.n)
+                yield H, cw, np.where(cw == 1, -magnitudes, magnitudes)
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_codeword_hard_decision_skips_lp(self, rng, formulation):
+        for H, cw, gammas in self.cases(rng):
+            gamma = CostVector(gammas=gammas)
+            out = decode(H, gamma, formulation)
+            assert out.iterations == 0
+            assert out.point.dtype == np.float64 and np.array_equal(out.point, cw)
+            assert out.integral and out.ml_certified and out.codeword == cw.tolist()
+            sol = lpsolver.solve(build_program(H, gamma, formulation))
+            assert out.objective == pytest.approx(sol.objective_value, rel=1e-9)
+            if H.n <= ML_ENUM_LIMIT:
+                word, objective = brute_force_ml(H, gamma)
+                assert word == out.codeword
+                assert out.objective == pytest.approx(objective, rel=1e-9)
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_one_flipped_sign_takes_lp_path(self, rng, formulation):
+        # flipping a checked bit's sign makes the hard decision a non-codeword,
+        # which is infeasible for both LPs, so the solver must pivot
+        for H, _, gammas in self.cases(rng):
+            j = rng.choice(np.unique(np.concatenate(H.rows)))
+            gammas[j] = -gammas[j]
+            gamma = CostVector(gammas=gammas)
+            assert not is_codeword(H, gamma.gammas < 0)
+            out = decode(H, gamma, formulation)
+            sol = lpsolver.solve(build_program(H, gamma, formulation))
+            assert out.iterations == sol.iterations > 0
+            assert out.objective == float(np.dot(gamma.gammas, sol.point[:H.n]))
 
 
 class TestFractionalWitness:
