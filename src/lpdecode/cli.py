@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import lpsolver
 from .channel import CostVector, parse_channel
-from .codes import BUILTINS, ParityCheckMatrix, builtin_code, parse_alist
+from .codes import BUILTINS, ParityCheckMatrix, builtin_code, gallager, parse_alist
 from .decoder import FORMULATIONS, DecodeError, decode
 from .simulate import CountsMismatchError, TrialRecord, run_compare, run_counts, run_simulate
 
@@ -34,9 +34,15 @@ class InputError(Exception):
 
 
 def load_code(source: str) -> ParityCheckMatrix:
-    """Load 'builtin:NAME' or an alist file path."""
+    """Load 'builtin:NAME', 'gallager:N,DV,DC,SEED' or an alist file path."""
     if source.startswith("builtin:"):
         return builtin_code(source[len("builtin:"):])
+    if source.startswith("gallager:"):
+        try:
+            n, dv, dc, seed = map(int, source[len("gallager:"):].split(","))
+        except ValueError:
+            raise InputError(f"bad code spec {source!r}; expected gallager:N,DV,DC,SEED") from None
+        return gallager(n, dv, dc, seed)
     path = Path(source)
     if not path.is_file():
         raise InputError(f"no such code file: {source}")
@@ -149,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, default_format, formats=("csv", "json")):
         sp.add_argument("--code", required=True,
-                        help=f"alist file path or builtin:{{{','.join(BUILTINS)}}}")
+                        help="alist file path, gallager:N,DV,DC,SEED or "
+                             f"builtin:{{{','.join(BUILTINS)}}}")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=formats, default=default_format)
         sp.add_argument("--timing", action="store_true",

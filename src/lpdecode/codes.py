@@ -196,20 +196,34 @@ HAMMING_7_4 = from_dense([
 ])
 
 
-def _ldpc_48_24() -> ParityCheckMatrix:
-    # Gallager construction: three stacked 8x48 blocks, each covering every
-    # column exactly once, blocks 2 and 3 column-permuted with a fixed seed.
-    rng = random.Random(20140901)
-    base = [list(range(6 * i, 6 * i + 6)) for i in range(8)]
+def gallager(n: int, dv: int, dc: int, seed: int) -> ParityCheckMatrix:
+    """Gallager's (dv, dc)-regular construction: dv stacked (n/dc) x n blocks,
+    each covering every column exactly once.
+
+    The first block's check i is columns [dc*i, dc*(i+1)); each further block
+    is that one with its columns permuted by `random.Random(seed)`.  Two checks
+    may coincide.
+    """
+    for name, v in (("n", n), ("dv", dv), ("dc", dc), ("seed", seed)):
+        try:
+            operator.index(v)
+        except TypeError:
+            raise CodeError(f"{name} must be an integer, got {v!r}") from None
+    if min(n, dv, dc) < 1 or seed < 0:
+        raise CodeError(f"need n, dv, dc >= 1 and seed >= 0, got ({n}, {dv}, {dc}, {seed})")
+    if n % dc:
+        raise CodeError(f"check degree {dc} does not divide n = {n}")
+    rng = random.Random(seed)
+    base = [range(dc * i, dc * (i + 1)) for i in range(n // dc)]
     rows = [tuple(r) for r in base]
-    for _ in range(2):
-        perm = list(range(48))
+    for _ in range(dv - 1):
+        perm = list(range(n))
         rng.shuffle(perm)
         rows += [tuple(sorted(perm[c] for c in r)) for r in base]
-    return ParityCheckMatrix(n=48, rows=tuple(rows))
+    return ParityCheckMatrix(n=n, rows=tuple(rows))
 
 
-LDPC_48_24 = _ldpc_48_24()
+LDPC_48_24 = gallager(48, 3, 6, 20140901)
 
 BUILTINS = {
     "paper-example": PAPER_EXAMPLE,

@@ -75,14 +75,21 @@ def _compiled_system(H: ParityCheckMatrix, formulation: str) -> ConstraintSystem
     return decomposed_system(decompose(H), H.n)
 
 
-def build_program(H: ParityCheckMatrix, gamma: CostVector,
-                  formulation: str) -> lpsolver.LinearProgram:
-    """Attach the costs to the code's compiled system; auxiliary costs are 0."""
+def _checked_system(H: ParityCheckMatrix, gamma: CostVector,
+                    formulation: str) -> ConstraintSystem:
+    """The compiled system of (H, formulation), once the formulation and the cost
+    length are known to be valid."""
     if formulation not in FORMULATIONS:
         raise DecodeError(f"unknown formulation {formulation!r}")
     if len(gamma) != H.n:
         raise DecodeError(f"cost length {len(gamma)} != n {H.n}")
-    cs = _compiled_system(H, formulation)
+    return _compiled_system(H, formulation)
+
+
+def build_program(H: ParityCheckMatrix, gamma: CostVector,
+                  formulation: str) -> lpsolver.LinearProgram:
+    """Attach the costs to the code's compiled system; auxiliary costs are 0."""
+    cs = _checked_system(H, gamma, formulation)
     objective = np.concatenate([gamma.gammas, np.zeros(cs.num_vars - H.n)])
     return lpsolver.LinearProgram(objective=objective, constraints=cs)
 
@@ -93,11 +100,12 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
 
     The hard decision (x_i = 1 iff gamma_i < 0) attains sum(min(gamma_i, 0)),
     a lower bound on both relaxations.  When it satisfies every check it is
-    returned as the certified optimum without solving an LP: `iterations` is
-    then 0 and `wall_clock_ns` times the check alone.  Otherwise
-    `wall_clock_ns` times the check and the solve.
+    returned as the certified optimum without assembling or solving an LP:
+    `iterations` is then 0 and `wall_clock_ns` times the check alone.
+    Otherwise `wall_clock_ns` times the check, the LP's assembly and the solve.
+    The system is compiled, and a code too large for it refused, either way.
     """
-    lp = build_program(H, gamma, formulation)
+    _checked_system(H, gamma, formulation)
     t0 = time.monotonic_ns()
     hard = gamma.gammas < 0.0
     if is_codeword(H, hard):
@@ -113,6 +121,7 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
             iterations=0,
             wall_clock_ns=elapsed,
         )
+    lp = build_program(H, gamma, formulation)
     sol = lpsolver.solve(lp)
     elapsed = time.monotonic_ns() - t0
     if sol.status != "optimal":

@@ -1,31 +1,35 @@
-"""Self-contained dual simplex on a condensed, bounded-variable tableau.
+"""Self-contained dual simplex on an active-set tableau.
 
-Solves min c.x subject to A.x <= b with finite per-variable bounds (default
-[0, 1]).  Lower bounds are shifted out and every row gets a slack.  The
-tableau is in condensed (dictionary) form: one row per constraint plus the
-objective row, and one column per nonbasic variable plus the rhs.  Upper
-bounds are not rows; Dantzig's upper-bounding technique (Chvatal, Linear
-Programming, 1983) handles them.  A nonbasic variable at its upper bound is
-held complemented (u - x), so every nonbasic variable sits at zero.  The
-tableau is row-major, and a pivot updates only the rows whose entry in the
-pivot column is nonzero while fewer than half of them are.
+Solves min c.x subject to A.x <= b with finite per-variable bounds
+lo <= x <= up (default [0, 1]).  The rows of A and the two box rows of each
+variable, -x_j <= -lo_j and x_j <= up_j, form one list of constraints, each
+with a slack, its rhs minus its activity, that must not go negative.  A vertex
+is n active constraints, whose slacks are zero.  The tableau is therefore
+(n+1)x(n+1) however many constraints there are: row j writes x_j, and the
+last row -z, as a rhs minus a combination of the active constraints' slacks,
+one column each, with the rhs in the last column.  The objective row then
+holds the reduced costs, which are the active constraints' dual values.
 
-A solve starts with every variable at the bound its cost favours: a variable
-with a negative cost is complemented to its upper bound.  With every bound
-finite that start is dual feasible (for a decoding LP it is the hard
-decision), so Lemke's dual simplex only has to repair the rows it violates;
-a basic variable above its upper bound is complemented as it leaves.  The
-loop ends at an optimum or proves the LP infeasible, and `solve` checks that
-no reduced cost went negative on the way.
+A solve starts at the box corner each cost favours: x_j at up_j if c_j < 0,
+else at lo_j, with that box row active.  Every reduced cost is then |c_j|, so
+the start is dual feasible (for a decoding LP it is the hard decision), and
+Lemke's dual simplex only has to repair the constraints it violates.  Each
+pivot computes the activity of every constraint from its sparse entries, takes
+the most violated one and builds only that constraint's tableau row.  The
+ratio test picks the active constraint it replaces, and a rank-1 update of the
+n+1 rows makes the exchange; it touches only the rows whose entry in the pivot
+column is nonzero while fewer than half of them are.  The loop ends at an
+optimum or proves the LP infeasible, and `solve` checks that no reduced cost
+went negative on the way.
 
 The dual loop falls back to Bland's rule after STALL_LIMIT pivots that make
 no progress.  Remaining ties break by lowest index, so the result is
 deterministic.  An optional trace callback receives one `TraceEvent` per
 pivot.
 
-The constraint matrix comes from `ConstraintSystem.arrays`, which the system
-holds read-only and shares with every solve of it; `solve` copies it into its
-own tableau and never writes it.
+The constraint list comes from `ConstraintSystem.sparse_rows`, and b from
+`ConstraintSystem.arrays`; the system builds both once, holds them read-only
+and shares them with every solve of it, and `solve` never writes them.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ class LinearProgram:
         if len(self.bounds) != n:
             raise DimensionError(f"{len(self.bounds)} bounds for {n} variables")
         lo, up = np.array(self.bounds, dtype=float).reshape(n, 2).T
-        # NaN fails every test; the solve shifts the lower bound out and may
-        # start a variable at its upper bound, so both must be finite
+        # NaN fails every test; the solve may start a variable at either
+        # bound, so both must be finite
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(up) & (lo <= up)))
         if bad.size:
             i = bad[0]
@@ -86,25 +90,22 @@ class LpSolution:
     iterations: int = 0
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, r: int, k: int) -> None:
-    """Exchange the basic variable of row r with the nonbasic variable of column k.
+def _pivot(T: np.ndarray, row: np.ndarray, k: int) -> None:
+    """Make the constraint whose slack `row` writes active in place of column k's.
 
-    T is row-major, and the rank-1 update touches only the rows whose entry in
-    the pivot column is nonzero when fewer than half are: the others would
-    only have a zero subtracted.  The chain's tableau stays that sparse.
+    `row` is that slack as a tableau row, rhs last, with row[k] nonzero.  The
+    rank-1 update touches only the rows whose entry in column k is nonzero when
+    fewer than half are: the others would only have a zero subtracted.
     """
     col = T[:, k].copy()
-    piv = col[r]
-    piv_row = T[r] / piv
+    piv = row[k]
+    piv_row = row / piv
     rows = col.nonzero()[0]
     if 2 * rows.size < col.size:
         T[rows] -= np.multiply.outer(col[rows], piv_row)
     else:
         T -= np.multiply.outer(col, piv_row)
-    T[r] = piv_row
     T[:, k] = col / -piv
-    T[r, k] = 1.0 / piv
-    basis[r], nonbasic[k] = nonbasic[k], basis[r]
 
 
 STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's rule
@@ -114,83 +115,97 @@ STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's r
 class TraceEvent:
     """One dual pivot, as passed to `solve`'s trace callback.
 
-    Variables are numbered structural [0, n), then one slack per row.
+    Variables are numbered structural [0, n), then one slack per row of A.  A
+    structural variable is nonbasic while one of its box rows is active, and a
+    slack while its row is: `leaving` names the constraint that becomes active,
+    and `entering` the one it replaces.
     """
     iteration: int  # counted from 0
-    kind: str  # pivot | leave-at-upper (the leaving variable was above its upper bound)
+    kind: str  # pivot | leave-at-upper (a structural variable leaves at its other bound)
     entering: int  # the variable that enters the basis
     leaving: int  # the variable that leaves the basis
 
 
 TraceCallback = Callable[[TraceEvent], None]
 
-def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-                      upper: np.ndarray, flipped: np.ndarray,
+def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
+                      rows: tuple[np.ndarray, ...], h: np.ndarray,
                       trace: TraceCallback | None = None) -> tuple[int, str]:
-    """Pivot until every basic variable lies within its bounds (Lemke's dual simplex).
+    """Pivot until no constraint is violated (Lemke's dual simplex).
 
-    Every reduced cost in the objective row must be nonnegative on entry, and
-    the ratio test keeps it so.  The row with the largest bound violation
-    leaves; a basic variable above its upper bound is complemented as it
-    leaves, so its row then holds a negative rhs like one below zero.  The
-    entering column minimises max(reduced cost, 0) / -T[r, j] over entries
-    T[r, j] < -1e-7 (or, if there are none, < -PIVOT_TOL); ties go to the
-    largest |pivot| and then to the lowest variable index.  A row with no
-    eligible entry proves the LP infeasible.  After STALL_LIMIT consecutive
-    pivots without progress, Bland's rule takes over (the lowest basic index
-    among the violated rows leaves, the lowest tied variable index enters)
-    until the objective moves.  The ratio test computes only the eligible
-    entries' ratios, and the tie-breaks run only when two or more tie.
+    `rows` and `h` are the constraint list G.x <= h: `ConstraintSystem.sparse_rows`
+    and its rhs, each variable's two box rows first, then A's.  `nonbasic[k]` is
+    the variable of column k's active constraint, and `at_up[j]` says whether
+    x_j's box row last active was its upper one.  Every reduced cost in the
+    objective row must be nonnegative on entry, and the ratio test keeps it
+    so.  The most violated constraint joins the active set, the first in the
+    list on ties, which is the one of the lowest variable index; its variable
+    leaves the basis.  A structural variable that leaves at the other bound
+    than the one it last sat at is a leave-at-upper (the bounded simplex
+    holds it complemented, and it leaves above its upper bound).  The entering column
+    minimises max(reduced cost, 0) / -row[j] over the new constraint's
+    tableau row entries row[j] < -1e-7 (or, if there are none, < -PIVOT_TOL);
+    ties go to the largest |pivot| and then to the lowest variable index.  A
+    row with no eligible entry proves the LP infeasible.  After STALL_LIMIT
+    consecutive pivots without progress, Bland's rule takes over (the first
+    violated constraint joins, the lowest tied variable index enters) until
+    the objective moves.
     """
-    m = T.shape[0] - 1
-    ub = upper[basis]  # upper bound of each row's basic variable, kept in step
-    viol = np.empty(m)
-    over = np.empty(m)
+    n = T.shape[0] - 1
+    indptr, row_of, cols, vals = rows
+    x = T[:n, -1]  # a view: the pivots update it in place
     it = 0
     stall = 0
     use_bland = False
     last_obj = T[-1, -1]
     while True:
-        rhs = T[:m, -1]
-        np.subtract(rhs, ub, out=over)
-        np.negative(rhs, out=viol)
-        np.maximum(viol, over, out=viol)
+        viol = np.bincount(row_of, vals * x[cols], h.size)
+        viol -= h
         if use_bland:
-            violated = np.nonzero(viol > FEAS_TOL)[0]
+            violated = (viol > FEAS_TOL).nonzero()[0]
             if violated.size == 0:
                 return it, "feasible"
-            r = violated[np.argmin(basis[violated])]
+            r = violated[0]
         else:
-            if viol.max(initial=0.0) <= FEAS_TOL:
-                return it, "feasible"
             r = int(viol.argmax())
-        leaving = basis[r]
-        at_upper = over[r] > 0.0
-        if at_upper:
-            # substitute ub - y for the basic y: negate the row, add ub to its rhs
-            T[r] *= -1.0
-            T[r, -1] += ub[r]
-            flipped[leaving] ^= True
-        row = T[r, :-1]
-        cand = (row < -1e-7).nonzero()[0]
+            if viol[r] <= FEAS_TOL:
+                return it, "feasible"
+        # the slack h_r - G_r.x, written in the active slacks
+        s, e = indptr[r], indptr[r + 1]
+        row = vals[s:e] @ T[cols[s:e]]
+        np.negative(row, out=row)
+        row[-1] += h[r]
+        crossed = False  # a structural variable leaving at its other bound
+        if r < 2 * n:
+            leaving, upper = divmod(r, 2)
+            crossed = upper != at_up[leaving]
+            at_up[leaving] = upper
+        else:
+            leaving = r - n
+        coef = row[:-1]
+        cand = (coef < -1e-7).nonzero()[0]
         if cand.size == 0:
-            cand = (row < -PIVOT_TOL).nonzero()[0]
+            cand = (coef < -PIVOT_TOL).nonzero()[0]
             if cand.size == 0:
                 return it, "infeasible"
         if cand.size > 1:
-            size = row[cand]
-            ratios = -np.maximum(T[-1, cand], 0.0) / size
-            tied = (ratios <= ratios.min() + FEAS_TOL).nonzero()[0]
-            cand, size = cand[tied], size[tied]
-            if cand.size > 1 and not use_bland:
-                cand = cand[size == size.min()]  # largest |pivot|: the entries are negative
+            size = coef[cand]
+            ratios = np.maximum(T[-1, cand], 0.0)
+            ratios /= size  # minus each ratio: the entries are negative
+            tied = (ratios >= ratios.max() - FEAS_TOL).nonzero()[0]
+            if tied.size > 1:
+                cand, size = cand[tied], size[tied]
+                if not use_bland:
+                    cand = cand[size == size.min()]  # largest |pivot|
+            else:
+                cand = cand[tied]
         k = cand[nonbasic[cand].argmin()] if cand.size > 1 else cand[0]
         entering = nonbasic[k]
         if trace is not None:
-            trace(TraceEvent(it, "leave-at-upper" if at_upper else "pivot",
+            trace(TraceEvent(it, "leave-at-upper" if crossed else "pivot",
                              int(entering), int(leaving)))
-        _pivot(T, basis, nonbasic, r, k)
-        ub[r] = upper[entering]
+        _pivot(T, row, k)
+        nonbasic[k] = leaving
         it += 1
         if it > MAX_ITER:
             raise IterationLimitError(f"exceeded {MAX_ITER} pivots")
@@ -220,28 +235,20 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
         raise DimensionError("objective has a non-finite cost")
     lo, up = lp.resolved_bounds()
 
-    A, b = cs.arrays  # shared and read-only; T below is the only copy written
-    m = A.shape[0]
-    # shift x = x' + lo so that 0 <= x' <= up - lo; each row gets a slack s >= 0.
-    # Variables are numbered structural [0, n), slack [n, n+m); the slacks
-    # start basic.
-    offset = float(c @ lo)
-    upper = np.concatenate([up - lo, np.full(m, np.inf)])
-    flipped = np.zeros(n + m, dtype=bool)  # True: held as upper - value
-    basis = n + np.arange(m)
-    nonbasic = np.arange(n)
-    # start at the bound each cost favours, so no reduced cost is negative: a
-    # negative cost complements its variable (column negated) to the upper bound
+    # start at the bound each cost favours, so no reduced cost is negative:
+    # x_j = lo_j + s_j with -x_j <= -lo_j active, or x_j = up_j - s_j with
+    # x_j <= up_j active; the objective row is -z = -c.x minus |c_j| s_j
     high = c < 0.0
-    sign = np.where(high, -1.0, 1.0)
-    T = np.empty((m + 1, n + 1))
-    np.multiply(A, sign, out=T[:m, :n])
-    T[:m, -1] = b - A @ np.where(high, up, lo)
-    T[-1, :n] = c * sign
-    T[-1, -1] = -(c[high] @ upper[:n][high])
-    flipped[:n] = high
+    x0 = np.where(high, up, lo)
+    T = np.zeros((n + 1, n + 1))
+    np.fill_diagonal(T[:n], np.where(high, 1.0, -1.0))
+    T[:n, -1] = x0
+    T[-1, :n] = np.abs(c)
+    T[-1, -1] = -(c @ x0)
+    nonbasic = np.arange(n)
 
-    iters, status = _run_dual_simplex(T, basis, nonbasic, upper, flipped, trace)
+    h = np.concatenate([np.column_stack([-lo, up]).ravel(), cs.arrays[1]])
+    iters, status = _run_dual_simplex(T, nonbasic, high, cs.sparse_rows, h, trace)
     if status == "infeasible":
         return LpSolution(status="infeasible", point=None,
                           objective_value=None, iterations=iters)
@@ -249,11 +256,9 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
         # the dual ratio test keeps every reduced cost nonnegative, so the
         # feasible basis it ends on is optimal unless that invariant broke
         raise SolverError("the dual simplex ended with a negative reduced cost")
-    y = np.zeros(upper.size)
-    y[basis] = T[:m, -1]
-    x = np.where(flipped[:n], upper[:n] - y[:n], y[:n])
-    return LpSolution(status="optimal", point=x + lo,
-                      objective_value=float(c @ x) + offset, iterations=iters)
+    x = T[:n, -1].copy()
+    return LpSolution(status="optimal", point=x, objective_value=float(c @ x),
+                      iterations=iters)
 
 
 def is_integral(point, tol: float) -> tuple[bool, list[int] | None]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -62,7 +62,8 @@ class ConstraintSystem:
     """A.x <= b over num_vars variables, with integer entries.
 
     `arrays` is the float64 (A, b); the builders below make both read-only, so
-    every solve can share them.  `rows` views the same arrays as `Row`s.
+    every solve can share them.  `rows` views the same arrays as `Row`s, and
+    `sparse_rows` holds the box rows and A's rows in compressed form.
     """
 
     num_vars: int
@@ -76,6 +77,25 @@ class ConstraintSystem:
         """Dense (A, b) as float lists, for golden comparisons."""
         A, b = self.arrays
         return A.tolist(), b.tolist()
+
+    @cached_property
+    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (indptr, rows, cols, vals) of the constraint list G.x <= h:
+        each variable j's box rows -x_j <= -lo_j and x_j <= up_j, then A's rows.
+
+        Entry e is G[rows[e], cols[e]] = vals[e], ordered by row and then by
+        column, and row i's entries are [indptr[i], indptr[i + 1]).
+        """
+        A, _ = self.arrays
+        n = self.num_vars
+        r, c = A.nonzero()
+        rows = np.concatenate([np.arange(2 * n), 2 * n + r])
+        out = (np.searchsorted(rows, np.arange(2 * n + A.shape[0] + 1)), rows,
+               np.concatenate([np.arange(n).repeat(2), c]),
+               np.concatenate([np.tile([-1.0, 1.0], n), A[r, c]]))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

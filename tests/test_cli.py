@@ -302,6 +302,24 @@ class TestOversizedSystem:
         assert d["codeword"] == [1, 0] * 20
 
 
+class TestGallagerSpec:
+    def test_loads(self, capsys):
+        code, out = run(capsys, "counts", "--code", "gallager:204,3,6,1")
+        assert code == 0
+        d = json.loads(out)
+        assert (d["n"], d["m"], d["feldman_parity_rows"]) == (204, 102, 102 * 32)
+
+    @pytest.mark.parametrize("spec", ["gallager:", "gallager:48,3,6", "gallager:48,3,6,1,2",
+                                      "gallager:48,3,x,1", "gallager:48,3,6,1.5",
+                                      "gallager:50,3,6,1", "gallager:48,3,0,1",
+                                      "gallager:48,3,6,-1"])
+    def test_bad_spec_exit_code(self, capsys, spec):
+        code = main(["counts", "--code", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestSimulate:
     def test_csv_stream(self, capsys):
         code, out = run(capsys, "simulate", "--code", "builtin:paper-example",

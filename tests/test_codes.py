@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdecode.codes import (AlistFormatError, CodeError, ParityCheckMatrix,
+from lpdecode.codes import (LDPC_48_24, AlistFormatError, CodeError, ParityCheckMatrix,
                             UnknownCodeError, builtin_code, degree_profile,
-                            from_dense, parse_alist, write_alist)
+                            from_dense, gallager, parse_alist, write_alist)
 from lpdecode.channel import CostVector
 from lpdecode.cli import main
 from lpdecode.decoder import codewords, decode
@@ -202,3 +204,30 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(UnknownCodeError):
             builtin_code("no-such-code")
+
+
+class TestGallager:
+    def test_ldpc_48_24_is_a_gallager_code(self):
+        # the benchmark's digests are over this exact matrix: checks 0-7 are
+        # consecutive sextuples, then two permuted copies of them.  The digest
+        # is of the matrix built before `gallager` existed
+        H = gallager(48, 3, 6, 20140901)
+        assert H == LDPC_48_24
+        assert H.rows[:2] == ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11))
+        assert H.rows[8] == (3, 17, 19, 33, 39, 43) and H.rows[16] == (0, 7, 9, 16, 36, 38)
+        assert hashlib.sha256(write_alist(H).encode()).hexdigest() == (
+            "60a03906f7d8fccaa55496706396fa95a25fad37b8f55ab33e5bf5a835111f48")
+
+    @pytest.mark.parametrize("n, dv, dc", [(204, 3, 6), (120, 3, 12), (10, 1, 5), (12, 4, 3)])
+    def test_regular(self, n, dv, dc):
+        H = gallager(n, dv, dc, 1)
+        prof = degree_profile(H)
+        assert H.n == n and H.m == dv * n // dc
+        assert set(prof.check_degrees) == {dc} and set(prof.variable_degrees) == {dv}
+        assert gallager(n, dv, dc, 1) == H
+
+    @pytest.mark.parametrize("args", [(50, 3, 6, 1), (0, 3, 6, 1), (48, 0, 6, 1),
+                                      (48, 3, 0, 1), (48, 3, 6, -1), (48.0, 3, 6, 1)])
+    def test_invalid_rejected(self, args):
+        with pytest.raises(CodeError):
+            gallager(*args)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lpdecode import lpsolver
+from lpdecode import decoder, lpsolver
 from lpdecode.channel import CostVector
 from lpdecode.codes import BUILTINS, ParityCheckMatrix, builtin_code, from_dense
 from lpdecode.decoder import (FORMULATIONS, ML_ENUM_LIMIT, DecodeError, WitnessSearchExhausted,
@@ -194,12 +194,12 @@ class TestDecode:
         H = builtin_code("ldpc-48-24")
         outs = [[decode(H, sample_gamma(H.n, 1, t), f) for f in FORMULATIONS] for t in range(4)]
         assert [[o.iterations for o in row] for row in outs] == [
-            [61, 171], [35, 176], [31, 121], [33, 129]]
+            [63, 190], [39, 151], [31, 127], [33, 130]]
         assert [[o.objective.hex() for o in row] for row in outs] == [
-            ["-0x1.55b07d608cd7ap+5", "-0x1.55b07d608cd79p+5"],
-            ["-0x1.e1eb4a5093eebp+5", "-0x1.e1eb4a5093eebp+5"],
+            ["-0x1.55b07d608cd78p+5", "-0x1.55b07d608cd79p+5"],
+            ["-0x1.e1eb4a5093eebp+5", "-0x1.e1eb4a5093eeap+5"],
             ["-0x1.05782d5306ddap+6", "-0x1.05782d5306ddap+6"],
-            ["-0x1.e100638bda1e0p+5", "-0x1.e100638bda1e0p+5"]]
+            ["-0x1.e100638bda1e1p+5", "-0x1.e100638bda1e0p+5"]]
 
     def test_json_serialization(self):
         # the field order is the decode JSON's key order, pinned by test_cli's golden test
@@ -257,6 +257,18 @@ class TestHardDecisionFastPath:
             sol = lpsolver.solve(build_program(H, gamma, formulation))
             assert out.iterations == sol.iterations > 0
             assert out.objective == float(np.dot(gamma.gammas, sol.point[:H.n]))
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_fast_path_assembles_no_lp(self, rng, monkeypatch, formulation):
+        def refused(*args):
+            raise AssertionError("build_program called on the fast path")
+
+        monkeypatch.setattr(decoder, "build_program", refused)
+        for H, cw, gammas in self.cases(rng):
+            out = decode(H, CostVector(gammas=gammas), formulation)
+            assert out.iterations == 0 and out.codeword == cw.tolist()
+        with pytest.raises(AssertionError, match="on the fast path"):
+            decode(HAMMING, cost(1, 1, 1, 1, 1, 1, -1), formulation)
 
 
 class TestFractionalWitness:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdecode import lpsolver
-from lpdecode.codes import builtin_code, from_dense
+from lpdecode.channel import Awgn, llr_costs, transmit
+from lpdecode.codes import builtin_code, from_dense, gallager
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
                                SolverError, is_integral, solve)
@@ -192,6 +193,60 @@ class TestBoundedVariables:
         assert sol.objective_value == pytest.approx(objective, abs=1e-12)
 
 
+class TestDegenerateShapes:
+    # shapes the decoding LPs never take; each expected point is the unique optimum
+    @pytest.mark.parametrize("bounds, point", [
+        (None, [0.0, 1.0, 0.0]),
+        ([(-1.0, 2.0), (-3.0, 4.0), (0.5, 0.5)], [-1.0, 4.0, 0.5]),
+    ], ids=["default", "explicit"])
+    def test_no_rows(self, bounds, point):
+        # nothing to repair: the box corner the costs favour, after 0 pivots
+        cs = ConstraintSystem(num_vars=3, arrays=(np.zeros((0, 3)), np.zeros(0)))
+        sol = solve(LinearProgram([1.0, -2.0, 0.0], cs, bounds))
+        assert sol.status == "optimal" and sol.iterations == 0
+        assert sol.point.tolist() == point
+        assert sol.objective_value == pytest.approx(np.dot([1.0, -2.0, 0.0], point), abs=1e-12)
+
+    @pytest.mark.parametrize("bounds", [None, [(-1.0, 2.0), (-1.0, 2.0)]],
+                             ids=["default", "explicit"])
+    def test_zero_row_is_redundant(self, bounds):
+        # min -2x - y with x + y <= 1, 0 <= 0.25, x <= 0.5: the zero row's
+        # activity is 0, not the next row's first entry, which would cap x at 0.25
+        cs = make_cs([({0: 1, 1: 1}, 1), ({}, 0.25), ({0: 1}, 0.5)], 2)
+        sol = solve(LinearProgram([-2.0, -1.0], cs, bounds))
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert sol.point == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert sol.objective_value == pytest.approx(-1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("bounds", [None, [(-1.0, 2.0), (-1.0, 2.0)]],
+                             ids=["default", "explicit"])
+    @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
+    def test_zero_row_with_negative_rhs_is_infeasible(self, bounds, last):
+        # 0 <= -1 holds for no x
+        rows = [({0: 1, 1: 1}, 1), ({0: 1}, 0.5)]
+        rows.insert(len(rows) if last else 1, ({}, -1))
+        sol = solve(LinearProgram([-2.0, -1.0], make_cs(rows, 2), bounds))
+        assert sol.status == "infeasible" and sol.point is None
+
+    @pytest.mark.parametrize("c, rows, bounds, point", [
+        # x fixed at 0 in the unit box: y takes what x + y <= 0.5 leaves
+        ([-1.0, -1.0], [({0: 1, 1: 1}, 0.5)], [(0.0, 0.0), (0.0, 1.0)], [0.0, 0.5]),
+        # x fixed at 2: x - y <= 1 forces y up to 1
+        ([1.0, 1.0], [({0: 1, 1: -1}, 1)], [(2.0, 2.0), (-1.0, 3.0)], [2.0, 1.0]),
+    ], ids=["unit-box", "wide-box"])
+    def test_fixed_variable(self, c, rows, bounds, point):
+        sol = solve(LinearProgram(c, make_cs(rows, 2), bounds))
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert sol.point == pytest.approx(point, abs=1e-12)
+        assert sol.point[0] == bounds[0][0]
+
+    def test_fixed_variable_infeasible(self):
+        # x fixed at 1 and x + y <= 0.5 with y >= 0
+        sol = solve(LinearProgram([1.0, 1.0], make_cs([({0: 1, 1: 1}, 0.5)], 2),
+                                  [(1.0, 1.0), (0.0, 1.0)]))
+        assert sol.status == "infeasible"
+
+
 class TestSharedArrays:
     def test_cached_arrays_are_read_only(self):
         cs = feldman_system(builtin_code("hamming-7-4"))
@@ -227,6 +282,22 @@ class TestAgainstHighs:
             assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
             assert np.all(A @ sol.point <= b + 1e-9)
             assert np.all(sol.point >= -1e-9) and np.all(sol.point <= 1 + 1e-9)
+
+
+    @pytest.mark.parametrize("formulation", ["feldman", "decomposed"])
+    def test_gallager_204_decoding_lps(self, formulation):
+        # a 3264x204 odd-subset LP and a 1632x510 chain LP per trial
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        H, ch = gallager(204, 3, 6, 1), Awgn(0.7)
+        for s in range(3):
+            gamma = llr_costs(transmit(np.zeros(H.n, dtype=int), ch, s), ch)
+            lp = build_program(H, gamma, formulation)
+            A, b = lp.constraints.arrays
+            ref = linprog(lp.objective, A_ub=A, b_ub=b, bounds=(0.0, 1.0), method="highs")
+            sol = solve(lp)
+            assert ref.status == 0 and sol.status == "optimal"
+            assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert np.all(A @ sol.point <= b + 1e-9)
 
 
 @st.composite
@@ -338,21 +409,21 @@ def textbook_pivot(T, r, k):
 class TestPivot:
     @pytest.mark.parametrize("density", [0.2, 0.9], ids=["row-sparse", "dense"])
     def test_matches_textbook_pivot(self, density):
-        # np.array_equal compares -0.0 equal to 0.0: the row-sparse update skips
-        # the rows that would only have had a signed zero subtracted
+        # the pivot row is the entering constraint's slack, which the tableau
+        # does not store: the result must be the textbook pivot of the tableau
+        # with that row inserted, with the row then dropped.  np.array_equal
+        # compares -0.0 equal to 0.0: the row-sparse update skips the rows
+        # that would only have had a signed zero subtracted
         rng = np.random.default_rng(2005)
-        m, n, r, k = 40, 15, 7, 4
-        T = rng.uniform(-3.0, 3.0, (m + 1, n + 1)) * (rng.random((m + 1, n + 1)) < density)
-        T[r, k] = -1.75
-        assert (2 * np.count_nonzero(T[:, k]) < m + 1) == (density < 0.5)
-        # m constraint rows, then the objective row; n nonbasic columns, then the rhs
-        basis, nonbasic = n + np.arange(m), np.arange(n)
-        expected = textbook_pivot(T, r, k)
-        lpsolver._pivot(T, basis, nonbasic, r, k)
+        n, k = 40, 4
+        T = rng.uniform(-3.0, 3.0, (n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < density)
+        row = rng.uniform(-3.0, 3.0, n + 1)
+        row[k] = -1.75
+        assert (2 * np.count_nonzero(T[:, k]) < n + 1) == (density < 0.5)
+        # x's n rows, then the objective row; n active slack columns, then the rhs
+        expected = np.delete(textbook_pivot(np.insert(T, n, row, axis=0), n, k), n, axis=0)
+        lpsolver._pivot(T, row, k)
         assert np.array_equal(T, expected)
-        assert basis[r] == k and nonbasic[k] == n + r
-        assert np.array_equal(np.delete(basis, r), np.delete(n + np.arange(m), r))
-        assert np.array_equal(np.delete(nonbasic, k), np.delete(np.arange(n), k))
 
 
 class TestFeasibilityOfOptimum:

@@ -176,6 +176,26 @@ class TestArrayBuilder:
         with pytest.raises(IndexError):
             rows[len(dense)]
 
+    @pytest.mark.parametrize("include_boxes", [False, True])
+    def test_sparse_rows_are_boxes_then_a(self, include_boxes):
+        # each variable's rows -x_j <= . and x_j <= ., then A's rows, built once
+        H = builtin_code("hamming-7-4")
+        for cs in (feldman_system(H, include_boxes), decomposed_system(decompose(H), H.n)):
+            A, n = cs.arrays[0], cs.num_vars
+            indptr, rows, cols, vals = cs.sparse_rows
+            G = np.zeros((2 * n + A.shape[0], n))
+            G[rows, cols] = vals
+            box = np.zeros((2 * n, n))
+            box[2 * np.arange(n), np.arange(n)] = -1.0
+            box[2 * np.arange(n) + 1, np.arange(n)] = 1.0
+            assert np.array_equal(G, np.vstack([box, A]))
+            assert np.count_nonzero(vals) == vals.size == 2 * n + np.count_nonzero(A)
+            assert np.array_equal(np.diff(indptr), np.bincount(rows, minlength=G.shape[0]))
+            assert np.all(np.diff(rows * n + cols) > 0)  # by row, then by column
+            assert all(not v.flags.writeable for v in cs.sparse_rows)
+            assert cs.sparse_rows is cs.sparse_rows
+
+
 class TestDecompose:
     def test_degree3_identity(self):
         H = from_dense([[0, 1, 1, 1]])
