@@ -110,8 +110,7 @@ def cmd_counts(args) -> int:
 
 def cmd_compare(args) -> int:
     H = load_code(args.code)
-    report = run_compare(H, args.num_gammas, args.seed, code_name=args.code,
-                         all_positive=args.all_positive)
+    report = run_compare(H, args.num_gammas, args.seed, code_name=args.code)
     _emit_dict(report.to_json_dict(), args)
     return EXIT_OK
 
@@ -170,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, "json")
     sp.add_argument("--num-gammas", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--all-positive", action="store_true",
-                    help="force positive costs (zero codeword optimal)")
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("decode", help="decode one cost vector")

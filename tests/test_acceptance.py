@@ -10,7 +10,7 @@ import pytest
 
 from lpdecode.channel import Bsc
 from lpdecode.cli import main
-from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile
+from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile, gallager
 from lpdecode.decoder import brute_force_ml, decode
 from lpdecode.lpsolver import LinearProgram, solve
 from lpdecode.relaxation import (ConstraintSystem, count_constraints, decompose,
@@ -89,9 +89,10 @@ def test_criterion_3_box_implication():
 
 def test_criterion_4_formulation_equivalence():
     t0 = time.perf_counter()
-    for name in ALL_CODES:
-        H = builtin_code(name)
-        for t in range(100):
+    # the built-ins, then one code of check degree 12 (2048 odd-subset rows per check)
+    cases = [(builtin_code(name), 100) for name in ALL_CODES] + [(gallager(120, 3, 12, 1), 5)]
+    for H, num_costs in cases:
+        for t in range(num_costs):
             gamma = sample_gamma(H.n, 404, t)
             out_f = decode(H, gamma, "feldman")
             out_d = decode(H, gamma, "decomposed")
@@ -100,7 +101,8 @@ def test_criterion_4_formulation_equivalence():
                 assert out_f.codeword == out_d.codeword
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(4, "objective equality over 3 codes x 100 costs", elapsed, 30.0)
+    report(4, "objective equality over 3 codes x 100 costs and gallager(120,3,12) x 5",
+           elapsed, 30.0)
 
 
 def test_criterion_5_ml_certificate():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,12 +94,6 @@ class TestCompare:
         assert d["max_objective_gap"] <= 1e-7
         assert d["num_gammas"] == 20
         assert "mean_wall_clock_ns" not in d  # timing off by default
-
-    def test_all_positive_zero_gap(self, capsys):
-        code, out = run(capsys, "compare", "--code", "builtin:hamming-7-4",
-                        "--num-gammas", "1", "--all-positive")
-        assert code == 0
-        assert json.loads(out)["max_objective_gap"] == 0.0
 
     def test_timing_flag(self, capsys):
         code, out = run(capsys, "compare", "--code", "builtin:paper-example",
@@ -286,7 +281,17 @@ class TestOversizedSystem:
         path.write_text(write_alist(ParityCheckMatrix(n=40, rows=(tuple(range(40)),))))
         return str(path)
 
-    @pytest.mark.parametrize("argv", [("counts",), ("decode", GAMMA, "--formulation", "feldman")])
+    def test_counts_without_odd_subset_system(self, capsys, alist):
+        t0 = time.perf_counter()
+        code, out = run(capsys, "counts", "--code", alist)
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and elapsed < 0.1
+        d = json.loads(out)
+        assert d["feldman_parity_rows"] == 2 ** 39
+        assert d["measured_feldman_rows"] == 2 ** 39 + 80
+        assert (d["decomposed_rows"], d["aux_vars"]) == (152, 37)
+
+    @pytest.mark.parametrize("argv", [("compare",), ("decode", GAMMA, "--formulation", "feldman")])
     def test_odd_subset_system_refused(self, capsys, alist, argv):
         code = main([argv[0], "--code", alist, *argv[1:]])
         captured = capsys.readouterr()

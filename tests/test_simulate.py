@@ -5,7 +5,7 @@ import pytest
 
 from lpdecode import simulate
 from lpdecode.channel import Awgn, Bsc, channel_id, parse_channel
-from lpdecode.codes import builtin_code
+from lpdecode.codes import builtin_code, gallager
 from lpdecode.decoder import FORMULATIONS, decode
 from lpdecode.simulate import (CountsMismatchError, run_compare, run_counts, run_simulate,
                                sample_gamma, wilson_interval)
@@ -29,6 +29,17 @@ class TestCounts:
         assert rep.measured_feldman_rows == 768 + 96
         assert rep.measured_decomposed_rows == 384
         assert rep.measured_aux_vars == 72
+
+    @pytest.mark.parametrize("args, rows", [
+        # (feldman parity, feldman box, decomposed, aux vars, degree-3 checks)
+        ((504, 3, 6, 1), (252 * 32, 2 * 504, 252 * 4 * 4, 252 * 3, 252 * 4)),
+        ((120, 3, 12, 1), (30 * 2048, 2 * 120, 30 * 4 * 10, 30 * 9, 30 * 10)),
+    ])
+    def test_gallager_closed_form(self, args, rows):
+        rep = run_counts(gallager(*args))
+        assert dataclasses.astuple(rep.counts) == rows
+        assert rep.measured_feldman_rows == rows[0] + rows[1]
+        assert (rep.measured_decomposed_rows, rep.measured_aux_vars) == (rows[2], rows[3])
 
     def test_formula_mismatch_raises(self, monkeypatch):
         # a plain check, not an assert, so it also holds under python -O
@@ -54,10 +65,6 @@ class TestCompare:
         assert rep.max_objective_gap <= 1e-7
         assert rep.mean_iterations["feldman"] > 0
 
-    def test_all_positive_forces_zero(self):
-        rep = run_compare(HAMMING, 1, seed=0, all_positive=True)
-        assert rep.max_objective_gap == 0.0
-
     @pytest.mark.parametrize("name", ["hamming-7-4", "ldpc-48-24"])
     def test_aggregates_match_direct_decodes(self, name):
         H = builtin_code(name)
@@ -77,10 +84,6 @@ class TestCompare:
 class TestSampleGamma:
     def test_deterministic(self):
         assert np.array_equal(sample_gamma(5, 1, 2).gammas, sample_gamma(5, 1, 2).gammas)
-
-    def test_all_positive(self):
-        g = sample_gamma(40, 0, 0, all_positive=True)
-        assert all(v > 0 for v in g.gammas)
 
     def test_range(self):
         g = sample_gamma(200, 3, 0)
