@@ -67,7 +67,7 @@ def _compiled_system(H: ParityCheckMatrix, formulation: str) -> ConstraintSystem
     """The decoding constraint system of (H, formulation).
 
     The system depends only on the code, never on the costs, so it is built
-    once per process, with its read-only arrays, and shared by every decode.
+    once per process, as read-only sparse rows, and shared by every decode.
     Callers must not modify the returned system.
     """
     if formulation == "feldman":

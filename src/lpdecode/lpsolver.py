@@ -28,8 +28,8 @@ deterministic.  An optional trace callback receives one `TraceEvent` per
 pivot.
 
 The constraint list comes from `ConstraintSystem.sparse_rows`, and b from
-`ConstraintSystem.arrays`; the system builds both once, holds them read-only
-and shares them with every solve of it, and `solve` never writes them.
+`ConstraintSystem.b`; the system holds both read-only and shares them with
+every solve of it, and `solve` never writes them.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     T[-1, -1] = -(c @ x0)
     nonbasic = np.arange(n)
 
-    h = np.concatenate([np.column_stack([-lo, up]).ravel(), cs.arrays[1]])
+    h = np.concatenate([np.column_stack([-lo, up]).ravel(), cs.b])
     iters, status = _run_dual_simplex(T, nonbasic, high, cs.sparse_rows, h, trace)
     if status == "infeasible":
         return LpSolution(status="infeasible", point=None,

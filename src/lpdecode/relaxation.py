@@ -25,7 +25,8 @@ import numpy as np
 from .codes import DegreeProfile, ParityCheckMatrix
 
 
-MAX_CELLS = 2 ** 25  # largest dense A that feldman_system allocates: 256 MiB of float64
+# most nonzeros a system stores: 512 MiB of (cols, vals), and 768 MiB more in sparse_rows
+MAX_ENTRIES = 2 ** 25
 
 
 class RelaxationError(ValueError):
@@ -41,42 +42,52 @@ class Row:
 
 
 class _Rows(Sequence):
-    """Read-only view of (A, b) as `Row`s, each built from its row's nonzeros on access."""
+    """Read-only view of a system's rows as `Row`s, each built from its nonzeros on access."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        self._A, self._b = A, b
+    def __init__(self, cs: ConstraintSystem):
+        self._cs = cs
 
     def __len__(self) -> int:
-        return self._A.shape[0]
+        return self._cs.b.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        row = self._A[i]
-        nz = np.flatnonzero(row)
-        return Row(dict(zip(nz.tolist(), row[nz].astype(int).tolist())), int(self._b[i]))
+        cs = self._cs
+        i = range(len(self))[i]
+        s, e = cs.indptr[i], cs.indptr[i + 1]
+        return Row(dict(zip(cs.cols[s:e].tolist(), cs.vals[s:e].astype(int).tolist())),
+                   int(cs.b[i]))
 
 
 @dataclass(eq=False)
 class ConstraintSystem:
-    """A.x <= b over num_vars variables, with integer entries.
+    """A.x <= b over num_vars variables, with integer entries, stored by row:
+    A[i, cols[k]] = vals[k] for k in [indptr[i], indptr[i + 1]), cols ascending.
 
-    `arrays` is the float64 (A, b); the builders below make both read-only, so
-    every solve can share them.  `rows` views the same arrays as `Row`s, and
-    `sparse_rows` holds the box rows and A's rows in compressed form.
+    The arrays are made read-only, so every solve can share them.  `rows`
+    views them as `Row`s, and `sparse_rows` adds the box rows for the solver.
     """
 
     num_vars: int
-    arrays: tuple[np.ndarray, np.ndarray]
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.indptr, self.cols, self.vals, self.b):
+            a.flags.writeable = False
 
     @property
     def rows(self) -> Sequence[Row]:
-        return _Rows(*self.arrays)
+        return _Rows(self)
 
     def dense(self):
         """Dense (A, b) as float lists, for golden comparisons."""
-        A, b = self.arrays
-        return A.tolist(), b.tolist()
+        A = np.zeros((self.b.size, self.num_vars))
+        A[np.repeat(np.arange(self.b.size), np.diff(self.indptr)), self.cols] = self.vals
+        return A.tolist(), self.b.tolist()
 
     @cached_property
     def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -86,13 +97,11 @@ class ConstraintSystem:
         Entry e is G[rows[e], cols[e]] = vals[e], ordered by row and then by
         column, and row i's entries are [indptr[i], indptr[i + 1]).
         """
-        A, _ = self.arrays
         n = self.num_vars
-        r, c = A.nonzero()
-        rows = np.concatenate([np.arange(2 * n), 2 * n + r])
-        out = (np.searchsorted(rows, np.arange(2 * n + A.shape[0] + 1)), rows,
-               np.concatenate([np.arange(n).repeat(2), c]),
-               np.concatenate([np.tile([-1.0, 1.0], n), A[r, c]]))
+        indptr = np.concatenate([np.arange(2 * n), 2 * n + self.indptr])
+        out = (indptr, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
+               np.concatenate([np.arange(n).repeat(2), self.cols]),
+               np.concatenate([np.tile([-1.0, 1.0], n), self.vals]))
         for a in out:
             a.flags.writeable = False
         return out
@@ -125,29 +134,33 @@ def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> Constra
     odd-subset size, then lexicographic; with include_boxes, then -x_i <= 0 and
     x_i <= 1 for each i.
 
-    Raises RelaxationError rather than allocate a dense A of more than
-    MAX_CELLS entries.
+    Raises RelaxationError rather than store more than MAX_ENTRIES nonzeros.
     """
-    m = sum(2 ** (len(s) - 1) for s in H.rows)
-    rows = m + 2 * H.n if include_boxes else m
-    if rows * H.n > MAX_CELLS:
-        raise RelaxationError(f"odd-subset system of {rows} x {H.n} entries exceeds "
-                              f"MAX_CELLS = {MAX_CELLS}")
-    A = np.zeros((rows, H.n))
-    b = np.zeros(rows)
-    r = 0
-    for support in H.rows:
-        signs, rhs = _check_pattern(len(support))
-        A[r:r + rhs.size, list(support)] = signs
-        b[r:r + rhs.size] = rhs
-        r += rhs.size
+    return _odd_subset_system(H, include_boxes, "odd-subset system")
+
+
+def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> ConstraintSystem:
+    """`feldman_system`, naming the system `name` if it is refused."""
+    degrees = [len(s) for s in H.rows]
+    boxes = 2 * H.n if include_boxes else 0
+    # a degree-d check stores d entries in each of its 2^(d-1) rows, a box row one
+    entries = sum(d << (d - 1) for d in degrees) + boxes
+    if entries > MAX_ENTRIES:
+        raise RelaxationError(f"{name} of {entries} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
+    patterns = [_check_pattern(d) for d in degrees]
+    # each row of a check holds its whole support, in column order
+    supports = itertools.chain.from_iterable(s * (1 << (len(s) - 1)) for s in H.rows)
+    cols = [np.fromiter(supports, dtype=np.intp)]
+    vals = [signs.ravel() for signs, _ in patterns]
+    b = [rhs for _, rhs in patterns]
     if include_boxes:
-        box, cols = m + 2 * np.arange(H.n), np.arange(H.n)
-        A[box, cols] = -1.0
-        A[box + 1, cols] = 1.0
-        b[box + 1] = 1.0
-    A.flags.writeable = b.flags.writeable = False
-    return ConstraintSystem(num_vars=H.n, arrays=(A, b))
+        cols.append(np.arange(H.n).repeat(2))
+        vals.append(np.tile([-1.0, 1.0], H.n))
+        b.append(np.tile([0.0, 1.0], H.n))
+    row_sizes = np.repeat(degrees + [1], [1 << (d - 1) for d in degrees] + [boxes])
+    indptr = np.concatenate([[0], np.cumsum(row_sizes)])
+    return ConstraintSystem(H.n, indptr, np.concatenate(cols), np.concatenate(vals),
+                            np.concatenate(b))
 
 
 def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:
@@ -184,7 +197,7 @@ def decomposed_system(D: ParityCheckMatrix, n_original: int) -> ConstraintSystem
     """
     if not 0 < n_original <= D.n:
         raise RelaxationError(f"n_original {n_original} outside [1, {D.n}]")
-    return feldman_system(D)
+    return _odd_subset_system(D, False, "chain system")
 
 
 def count_constraints(profile: DegreeProfile, n: int) -> ConstraintCounts:

@@ -81,7 +81,7 @@ def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
     """
     counts = count_constraints(degree_profile(H), H.n)
     D = decompose(H)
-    measured_d = decomposed_system(D, H.n).arrays[0].shape[0]
+    measured_d = len(decomposed_system(D, H.n).rows)
     formula = (counts.decomposed_rows, counts.aux_vars, counts.degree3_checks)
     aux = D.n - H.n
     measured = (measured_d, aux, sum(len(row) == 3 for row in D.rows))

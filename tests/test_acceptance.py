@@ -73,8 +73,9 @@ def test_criterion_3_box_implication():
         for triple in D.rows:
             # the triple's one-check system, with its columns in triple order
             check = ParityCheckMatrix(n=max(triple) + 1, rows=(triple,))
-            A, b = feldman_system(check).arrays
-            local = ConstraintSystem(num_vars=3, arrays=(A[:, list(triple)], b))
+            cs = feldman_system(check)
+            local = ConstraintSystem(num_vars=3, indptr=cs.indptr,
+                                     cols=np.searchsorted(triple, cs.cols), vals=cs.vals, b=cs.b)
             for v in range(3):
                 for sign in (1.0, -1.0):
                     c = [0.0, 0.0, 0.0]

@@ -307,6 +307,31 @@ class TestOversizedSystem:
         assert d["codeword"] == [1, 0] * 20
 
 
+class TestLargeCode:
+    """gallager:2016,3,6,1: a 16,128 x 5,040 chain system, stored as its 48,384
+    nonzeros; a dense A of it would exceed 2**25 cells."""
+
+    SPEC = "gallager:2016,3,6,1"
+
+    def test_counts(self, capsys):
+        code, out = run(capsys, "counts", "--code", self.SPEC)
+        assert code == 0
+        d = json.loads(out)
+        assert (d["n"], d["m"]) == (2016, 1008)
+        assert d["decomposed_rows"] == d["measured_decomposed_rows"] == 4 * 1008 * (6 - 2)
+        assert d["aux_vars"] == d["measured_aux_vars"] == 1008 * (6 - 3)
+
+    @pytest.mark.parametrize("formulation", ["feldman", "decomposed"])
+    def test_decode_compiles(self, capsys, formulation):
+        # all-positive costs take the hard-decision path, after the system is compiled
+        code, out = run(capsys, "decode", "--code", self.SPEC, "--gamma=" + ",".join(["1"] * 2016),
+                        "--formulation", formulation)
+        assert code == 0
+        d = json.loads(out)
+        assert d["codeword"] == [0] * 2016 and d["ml_certified"] is True
+        assert d["iterations"] == 0
+
+
 class TestGallagerSpec:
     def test_loads(self, capsys):
         code, out = run(capsys, "counts", "--code", "gallager:204,3,6,1")

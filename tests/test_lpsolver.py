@@ -20,12 +20,13 @@ NAN = float("nan")
 
 def make_cs(rows, num_vars):
     """The system of (coeffs dict, rhs) rows, in the given order."""
-    A = np.zeros((len(rows), num_vars))
-    for r, (coeffs, _) in enumerate(rows):
-        A[r, list(coeffs)] = list(coeffs.values())
+    entries = [sorted(coeffs.items()) for coeffs, _ in rows]
     return ConstraintSystem(
         num_vars=num_vars,
-        arrays=(A, np.array([rhs for _, rhs in rows], dtype=float)),
+        indptr=np.cumsum([0] + [len(e) for e in entries]),
+        cols=np.array([j for e in entries for j, _ in e], dtype=np.intp),
+        vals=np.array([v for e in entries for _, v in e], dtype=float),
+        b=np.array([rhs for _, rhs in rows], dtype=float),
     )
 
 
@@ -201,7 +202,7 @@ class TestDegenerateShapes:
     ], ids=["default", "explicit"])
     def test_no_rows(self, bounds, point):
         # nothing to repair: the box corner the costs favour, after 0 pivots
-        cs = ConstraintSystem(num_vars=3, arrays=(np.zeros((0, 3)), np.zeros(0)))
+        cs = make_cs([], 3)
         sol = solve(LinearProgram([1.0, -2.0, 0.0], cs, bounds))
         assert sol.status == "optimal" and sol.iterations == 0
         assert sol.point.tolist() == point
@@ -247,25 +248,31 @@ class TestDegenerateShapes:
         assert sol.status == "infeasible"
 
 
+def stored(cs):
+    """The arrays a system stores, then the constraint list its solves read."""
+    return (cs.indptr, cs.cols, cs.vals, cs.b, *cs.sparse_rows)
+
+
 class TestSharedArrays:
     def test_cached_arrays_are_read_only(self):
         cs = feldman_system(builtin_code("hamming-7-4"))
-        A, b = cs.arrays
-        assert cs.arrays[0] is A and cs.arrays[1] is b
-        assert not A.flags.writeable and not b.flags.writeable
-        assert A.tolist() == cs.dense()[0] and b.tolist() == cs.dense()[1]
+        assert all(not v.flags.writeable for v in stored(cs))
+        A, b = (np.asarray(v) for v in cs.dense())
+        row_of = np.repeat(np.arange(b.size), np.diff(cs.indptr))
+        assert np.array_equal(A[row_of, cs.cols], cs.vals)
+        assert np.count_nonzero(A) == cs.vals.size and cs.b.tolist() == b.tolist()
 
     def test_phase1_solves_leave_the_system_intact(self):
         # with criterion 3's [-10, 10] bounds the start (-10, 10, -10) violates
         # these rows, so each solve pivots
         cs = feldman_system(from_dense([[1, 1, 1]]))
-        A0, b0 = (v.copy() for v in cs.arrays)
+        before = [v.copy() for v in stored(cs)]
         lp = LinearProgram([1.0, -1.0, 0.5], cs, [(-10.0, 10.0)] * 3)
         first, second = solve(lp), solve(lp)
         assert first.status == second.status == "optimal"
         assert first.iterations == second.iterations > 0
         assert np.array_equal(first.point, second.point)
-        assert np.array_equal(cs.arrays[0], A0) and np.array_equal(cs.arrays[1], b0)
+        assert all(np.array_equal(v, v0) for v, v0 in zip(stored(cs), before))
 
 
 class TestAgainstHighs:
@@ -292,7 +299,7 @@ class TestAgainstHighs:
         for s in range(3):
             gamma = llr_costs(transmit(np.zeros(H.n, dtype=int), ch, s), ch)
             lp = build_program(H, gamma, formulation)
-            A, b = lp.constraints.arrays
+            A, b = (np.asarray(v) for v in lp.constraints.dense())
             ref = linprog(lp.objective, A_ub=A, b_ub=b, bounds=(0.0, 1.0), method="highs")
             sol = solve(lp)
             assert ref.status == 0 and sol.status == "optimal"

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from lpdecode import lpsolver
+from lpdecode import lpsolver, relaxation
 from lpdecode.codes import ParityCheckMatrix, builtin_code, degree_profile, from_dense
 from lpdecode.decoder import codewords
-from lpdecode.relaxation import (MAX_CELLS, RelaxationError, count_constraints, decompose,
+from lpdecode.relaxation import (MAX_ENTRIES, RelaxationError, count_constraints, decompose,
                                  decomposed_system, feldman_system, odd_binomial_sum)
 
 from conftest import random_matrix
@@ -34,9 +34,14 @@ def odd_powerset(support):
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def dense_arrays(cs):
+    """A system's (A, b) as float64 arrays."""
+    return tuple(np.asarray(v) for v in cs.dense())
+
+
 def check_arrays(support):
     """(A, b) of the Feldman system of one check over columns 0..max(support)."""
-    return feldman_system(ParityCheckMatrix(max(support) + 1, (support,))).arrays
+    return dense_arrays(feldman_system(ParityCheckMatrix(max(support) + 1, (support,))))
 
 
 def odd_sets(support):
@@ -110,14 +115,27 @@ class TestFeldmanSystem:
             assert cs.dense() == oracle_dense(H.rows, H.n, range(H.n))
 
     def test_oversized_system_rejected(self):
-        # one degree-40 check has 2^39 odd-subset rows; refuse before allocating
+        # one degree-40 check has 2^39 odd-subset rows of 40 entries; refuse before allocating
         H = ParityCheckMatrix(n=40, rows=(tuple(range(40)),))
         for boxes in (False, True):
-            with pytest.raises(RelaxationError, match="exceeds"):
+            entries = 40 * 2 ** 39 + (80 if boxes else 0)
+            with pytest.raises(RelaxationError, match=f"^odd-subset system of {entries} entries "
+                                                      f"exceeds MAX_ENTRIES = {2 ** 25}$"):
                 feldman_system(H, include_boxes=boxes)
-        # the (3,12)-regular n = 120 system, boxed, fits: 61,440 parity rows
-        assert (30 * 2 ** 11 + 2 * 120) * 120 <= MAX_CELLS
-        assert decomposed_system(decompose(H), H.n).arrays[0].shape == (4 * 38, 40 + 37)
+        # the (3,12)-regular n = 120 system, boxed, fits: 61,440 parity rows of 12 entries
+        assert 30 * 12 * 2 ** 11 + 2 * 120 <= MAX_ENTRIES == 2 ** 25
+        ds = decomposed_system(decompose(H), H.n)
+        assert (len(ds.rows), ds.num_vars) == (4 * 38, 40 + 37)
+
+    def test_oversized_chain_named(self, monkeypatch):
+        # the chain of one degree-40 check stores 38 triples of 4 rows of 3 entries
+        H = ParityCheckMatrix(n=40, rows=(tuple(range(40)),))
+        monkeypatch.setattr(relaxation, "MAX_ENTRIES", 4 * 38 * 3 - 1)
+        with pytest.raises(RelaxationError, match="^chain system of 456 entries exceeds "
+                                                  "MAX_ENTRIES = 455$"):
+            decomposed_system(decompose(H), H.n)
+        monkeypatch.setattr(relaxation, "MAX_ENTRIES", 4 * 38 * 3)
+        assert len(decomposed_system(decompose(H), H.n).rows) == 4 * 38
 
 
 def oracle_dense(supports, num_vars, boxed=()):
@@ -161,8 +179,11 @@ class TestArrayBuilder:
     def test_arrays_read_only_float64(self):
         H = builtin_code("hamming-7-4")
         for cs in (feldman_system(H, include_boxes=True), decomposed_system(decompose(H), H.n)):
-            for v in cs.arrays:
-                assert v.dtype == np.float64 and not v.flags.writeable
+            for v, dtype in ((cs.indptr, np.intp), (cs.cols, np.intp),
+                             (cs.vals, np.float64), (cs.b, np.float64)):
+                assert v.dtype == dtype and not v.flags.writeable
+            assert cs.indptr[0] == 0 and cs.indptr[-1] == cs.cols.size == cs.vals.size
+            assert cs.indptr.size == cs.b.size + 1
 
     def test_rows_view_agrees_with_dense(self):
         cs = feldman_system(builtin_code("hamming-7-4"), include_boxes=True)
@@ -181,8 +202,9 @@ class TestArrayBuilder:
         # each variable's rows -x_j <= . and x_j <= ., then A's rows, built once
         H = builtin_code("hamming-7-4")
         for cs in (feldman_system(H, include_boxes), decomposed_system(decompose(H), H.n)):
-            A, n = cs.arrays[0], cs.num_vars
+            A, n = dense_arrays(cs)[0], cs.num_vars
             indptr, rows, cols, vals = cs.sparse_rows
+            assert np.array_equal(indptr, np.concatenate([np.arange(2 * n), 2 * n + cs.indptr]))
             G = np.zeros((2 * n + A.shape[0], n))
             G[rows, cols] = vals
             box = np.zeros((2 * n, n))
@@ -320,8 +342,10 @@ def chain_extend(D, bits):
 
 
 def satisfies(cs, x):
-    A, b = cs.arrays
-    return bool((A @ np.asarray(x, dtype=float) <= b).all())
+    """Whether x satisfies every row, each row's activity summed from its stored entries."""
+    row_of = np.repeat(np.arange(cs.b.size), np.diff(cs.indptr))
+    activity = np.bincount(row_of, cs.vals * np.asarray(x, dtype=float)[cs.cols], cs.b.size)
+    return bool((activity <= cs.b).all())
 
 
 class TestCodewordGeometry:
