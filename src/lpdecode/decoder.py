@@ -21,7 +21,8 @@ import numpy as np
 from . import lpsolver
 from .channel import CostVector, trial_rng
 from .codes import ParityCheckMatrix
-from .relaxation import ConstraintSystem, decompose, decomposed_system, feldman_system
+from .relaxation import (MAX_ENTRIES, ConstraintSystem, RelaxationError, decompose,
+                         decomposed_system, feldman_system)
 
 INTEGRALITY_TOL = 1e-6
 ML_ENUM_LIMIT = 28
@@ -68,11 +69,17 @@ def _compiled_system(H: ParityCheckMatrix, formulation: str) -> ConstraintSystem
 
     The system depends only on the code, never on the costs, so it is built
     once per process, as read-only sparse rows, and shared by every decode.
-    Callers must not modify the returned system.
+    Callers must not modify the returned system.  Raises RelaxationError,
+    before building it, if a solve's dense tableau would exceed MAX_ENTRIES.
     """
+    code = H if formulation == "feldman" else decompose(H)
+    cells = (code.n + 1) ** 2  # the solver's (num_vars+1) x (num_vars+1) tableau
+    if cells > MAX_ENTRIES:
+        raise RelaxationError(f"{formulation} tableau of {cells} entries exceeds "
+                              f"MAX_ENTRIES = {MAX_ENTRIES}")
     if formulation == "feldman":
         return feldman_system(H, include_boxes=False)
-    return decomposed_system(decompose(H), H.n)
+    return decomposed_system(code, H.n)
 
 
 def _checked_system(H: ParityCheckMatrix, gamma: CostVector,

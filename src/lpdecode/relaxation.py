@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -25,7 +25,8 @@ import numpy as np
 from .codes import DegreeProfile, ParityCheckMatrix
 
 
-# most nonzeros a system stores: 512 MiB of (cols, vals), and 768 MiB more in sparse_rows
+# most nonzeros a system stores (512 MiB of cols and vals), and most cells of
+# the dense tableau a decode's solve pivots on (256 MiB of float64)
 MAX_ENTRIES = 2 ** 25
 
 
@@ -66,7 +67,7 @@ class ConstraintSystem:
     A[i, cols[k]] = vals[k] for k in [indptr[i], indptr[i + 1]), cols ascending.
 
     The arrays are made read-only, so every solve can share them.  `rows`
-    views them as `Row`s, and `sparse_rows` adds the box rows for the solver.
+    views them as `Row`s.
     """
 
     num_vars: int
@@ -88,23 +89,6 @@ class ConstraintSystem:
         A = np.zeros((self.b.size, self.num_vars))
         A[np.repeat(np.arange(self.b.size), np.diff(self.indptr)), self.cols] = self.vals
         return A.tolist(), self.b.tolist()
-
-    @cached_property
-    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (indptr, rows, cols, vals) of the constraint list G.x <= h:
-        each variable j's box rows -x_j <= -lo_j and x_j <= up_j, then A's rows.
-
-        Entry e is G[rows[e], cols[e]] = vals[e], ordered by row and then by
-        column, and row i's entries are [indptr[i], indptr[i + 1]).
-        """
-        n = self.num_vars
-        indptr = np.concatenate([np.arange(2 * n), 2 * n + self.indptr])
-        out = (indptr, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
-               np.concatenate([np.arange(n).repeat(2), self.cols]),
-               np.concatenate([np.tile([-1.0, 1.0], n), self.vals]))
-        for a in out:
-            a.flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True)
@@ -142,25 +126,33 @@ def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> Constra
 def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> ConstraintSystem:
     """`feldman_system`, naming the system `name` if it is refused."""
     degrees = [len(s) for s in H.rows]
+    counts = [1 << (d - 1) for d in degrees]  # a degree-d check's rows, d entries each
     boxes = 2 * H.n if include_boxes else 0
-    # a degree-d check stores d entries in each of its 2^(d-1) rows, a box row one
-    entries = sum(d << (d - 1) for d in degrees) + boxes
+    entries = sum(d * k for d, k in zip(degrees, counts)) + boxes
     if entries > MAX_ENTRIES:
         raise RelaxationError(f"{name} of {entries} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
-    patterns = [_check_pattern(d) for d in degrees]
+    indptr = np.cumsum(np.repeat([0, *degrees, 1], [1, *counts, boxes]))
+    cols = np.empty(entries, dtype=np.intp)
+    vals = np.empty(entries)
+    b = np.empty(indptr.size - 1)
+    row = 0
+    # a run of consecutive checks of one degree fills consecutive rows, and
     # each row of a check holds its whole support, in column order
-    supports = itertools.chain.from_iterable(s * (1 << (len(s) - 1)) for s in H.rows)
-    cols = [np.fromiter(supports, dtype=np.intp)]
-    vals = [signs.ravel() for signs, _ in patterns]
-    b = [rhs for _, rhs in patterns]
+    for d, run in itertools.groupby(H.rows, len):
+        supports = np.array(list(run))
+        signs, rhs = _check_pattern(d)
+        end = row + len(supports) * rhs.size
+        b[row:end].reshape(-1, rhs.size)[:] = rhs
+        at = slice(indptr[row], indptr[end])
+        cols[at].reshape(-1, *signs.shape)[:] = supports[:, None]
+        vals[at].reshape(-1, *signs.shape)[:] = signs
+        row = end
     if include_boxes:
-        cols.append(np.arange(H.n).repeat(2))
-        vals.append(np.tile([-1.0, 1.0], H.n))
-        b.append(np.tile([0.0, 1.0], H.n))
-    row_sizes = np.repeat(degrees + [1], [1 << (d - 1) for d in degrees] + [boxes])
-    indptr = np.concatenate([[0], np.cumsum(row_sizes)])
-    return ConstraintSystem(H.n, indptr, np.concatenate(cols), np.concatenate(vals),
-                            np.concatenate(b))
+        at = slice(indptr[row], None)
+        cols[at].reshape(-1, 2)[:] = np.arange(H.n)[:, None]
+        vals[at].reshape(-1, 2)[:] = -1.0, 1.0
+        b[row:].reshape(-1, 2)[:] = 0.0, 1.0
+    return ConstraintSystem(H.n, indptr, cols, vals, b)
 
 
 def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:

@@ -81,7 +81,7 @@ def run_counts(H: ParityCheckMatrix, code_name: str = "") -> ComparisonReport:
     """
     counts = count_constraints(degree_profile(H), H.n)
     D = decompose(H)
-    measured_d = len(decomposed_system(D, H.n).rows)
+    measured_d = decomposed_system(D, H.n).b.size
     formula = (counts.decomposed_rows, counts.aux_vars, counts.degree3_checks)
     aux = D.n - H.n
     measured = (measured_d, aux, sum(len(row) == 3 for row in D.rows))

@@ -307,6 +307,19 @@ class TestOversizedSystem:
         assert d["codeword"] == [1, 0] * 20
 
 
+class TestOversizedTableau:
+    """gallager:8064,3,6,1 stores few entries, but a solve's dense tableau would
+    have 8,065^2 cells under Feldman and 20,161^2 on the chain."""
+
+    @pytest.mark.parametrize("formulation", ["feldman", "decomposed"])
+    def test_decode_refused(self, capsys, formulation):
+        code = main(["decode", "--code", "gallager:8064,3,6,1",
+                     "--gamma=" + ",".join(["1"] * 8064), "--formulation", formulation])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{formulation} tableau" in captured.err and "exceeds" in captured.err
+
+
 class TestLargeCode:
     """gallager:2016,3,6,1: a 16,128 x 5,040 chain system, stored as its 48,384
     nonzeros; a dense A of it would exceed 2**25 cells."""
