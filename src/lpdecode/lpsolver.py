@@ -153,18 +153,20 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
     the objective moves.
     """
     n = T.shape[0] - 1
-    indptr, cols, vals = cs.indptr, cs.cols, cs.vals
-    row_of = np.repeat(np.arange(cs.b.size), np.diff(indptr))  # each entry's row of A
+    indptr, cols, vals, b = cs.indptr, cs.cols, cs.vals, cs.b
+    row_of = np.repeat(np.arange(b.size), np.diff(indptr))  # each entry's row of A
     x = T[:n, -1]  # a view: the pivots update it in place
-    viol = np.empty(h.size)  # each constraint's activity minus its rhs
+    # each constraint's activity minus its rhs: the box rows by variable, then A's rows
+    viol = np.empty(h.size)
+    box, box_h = viol[:2 * n].reshape(n, 2), h[:2 * n].reshape(n, 2)
     it = 0
     stall = 0
     use_bland = False
     last_obj = T[-1, -1]
     while True:
-        np.multiply(x[:, None], BOX_SIGNS, out=viol[:2 * n].reshape(n, 2))
-        viol[2 * n:] = np.bincount(row_of, vals * x[cols], cs.b.size)
-        viol -= h
+        np.multiply(x[:, None], BOX_SIGNS, out=box)
+        box -= box_h
+        np.subtract(np.bincount(row_of, vals * x[cols], b.size), b, out=viol[2 * n:])
         if use_bland:
             violated = (viol > FEAS_TOL).nonzero()[0]
             if violated.size == 0:
@@ -179,7 +181,7 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
             leaving, upper = divmod(r, 2)
             crossed = upper != at_up[leaving]
             at_up[leaving] = upper
-            support, coeffs = [leaving], BOX_SIGNS[upper:upper + 1]
+            support, coeffs = slice(leaving, leaving + 1), BOX_SIGNS[upper:upper + 1]
         else:
             leaving = r - n
             s, e = indptr[r - 2 * n], indptr[r - 2 * n + 1]
