@@ -27,9 +27,9 @@ no progress.  Remaining ties break by lowest index, so the result is
 deterministic.  An optional trace callback receives one `TraceEvent` per
 pivot.
 
-A's rows come from the system's `indptr`, `cols`, `vals` and `b`, and the box
-rows from the bounds.  The system holds its arrays read-only and shares them
-with every solve of it, and `solve` never writes them.
+The constraint list comes from `ConstraintSystem.sparse_rows`, and b from
+`ConstraintSystem.b`; the system holds both read-only and shares them with
+every solve of it, and `solve` never writes them.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def _pivot(T: np.ndarray, row: np.ndarray, k: int) -> None:
 
 
 STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's rule
-BOX_SIGNS = np.array([-1.0, 1.0])  # x_j's coefficient in its rows -x_j <= -lo_j and x_j <= up_j
 
 
 @dataclass(frozen=True)
@@ -130,12 +129,12 @@ class TraceEvent:
 TraceCallback = Callable[[TraceEvent], None]
 
 def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
-                      cs: ConstraintSystem, h: np.ndarray,
+                      rows: tuple[np.ndarray, ...], h: np.ndarray,
                       trace: TraceCallback | None = None) -> tuple[int, str]:
     """Pivot until no constraint is violated (Lemke's dual simplex).
 
-    The constraint list G.x <= h is each variable's two box rows, then the rows
-    of `cs`; `h` is its rhs.  `nonbasic[k]` is
+    `rows` and `h` are the constraint list G.x <= h: `ConstraintSystem.sparse_rows`
+    and its rhs, each variable's two box rows first, then A's.  `nonbasic[k]` is
     the variable of column k's active constraint, and `at_up[j]` says whether
     x_j's box row last active was its upper one.  Every reduced cost in the
     objective row must be nonnegative on entry, and the ratio test keeps it
@@ -153,20 +152,15 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
     the objective moves.
     """
     n = T.shape[0] - 1
-    indptr, cols, vals, b = cs.indptr, cs.cols, cs.vals, cs.b
-    row_of = np.repeat(np.arange(b.size), np.diff(indptr))  # each entry's row of A
+    indptr, row_of, cols, vals = rows
     x = T[:n, -1]  # a view: the pivots update it in place
-    # each constraint's activity minus its rhs: the box rows by variable, then A's rows
-    viol = np.empty(h.size)
-    box, box_h = viol[:2 * n].reshape(n, 2), h[:2 * n].reshape(n, 2)
     it = 0
     stall = 0
     use_bland = False
     last_obj = T[-1, -1]
     while True:
-        np.multiply(x[:, None], BOX_SIGNS, out=box)
-        box -= box_h
-        np.subtract(np.bincount(row_of, vals * x[cols], b.size), b, out=viol[2 * n:])
+        viol = np.bincount(row_of, vals * x[cols], h.size)
+        viol -= h
         if use_bland:
             violated = (viol > FEAS_TOL).nonzero()[0]
             if violated.size == 0:
@@ -176,20 +170,18 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return it, "feasible"
+        # the slack h_r - G_r.x, written in the active slacks
+        s, e = indptr[r], indptr[r + 1]
+        row = vals[s:e] @ T[cols[s:e]]
+        np.negative(row, out=row)
+        row[-1] += h[r]
         crossed = False  # a structural variable leaving at its other bound
         if r < 2 * n:
             leaving, upper = divmod(r, 2)
             crossed = upper != at_up[leaving]
             at_up[leaving] = upper
-            support, coeffs = slice(leaving, leaving + 1), BOX_SIGNS[upper:upper + 1]
         else:
             leaving = r - n
-            s, e = indptr[r - 2 * n], indptr[r - 2 * n + 1]
-            support, coeffs = cols[s:e], vals[s:e]
-        # the slack h_r - G_r.x, written in the active slacks
-        row = coeffs @ T[support]
-        np.negative(row, out=row)
-        row[-1] += h[r]
         coef = row[:-1]
         cand = (coef < -1e-7).nonzero()[0]
         if cand.size == 0:
@@ -256,7 +248,7 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     nonbasic = np.arange(n)
 
     h = np.concatenate([np.column_stack([-lo, up]).ravel(), cs.b])
-    iters, status = _run_dual_simplex(T, nonbasic, high, cs, h, trace)
+    iters, status = _run_dual_simplex(T, nonbasic, high, cs.sparse_rows, h, trace)
     if status == "infeasible":
         return LpSolution(status="infeasible", point=None,
                           objective_value=None, iterations=iters)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from .codes import DegreeProfile, ParityCheckMatrix
 
 
-# most nonzeros a system stores (512 MiB of cols and vals), and most cells of
-# the dense tableau a decode's solve pivots on (256 MiB of float64)
+# most nonzeros a system stores (512 MiB of cols and vals, and 768 MiB more in
+# sparse_rows once solved), and most cells of a decode's dense tableau (256 MiB)
 MAX_ENTRIES = 2 ** 25
 
 
@@ -67,7 +67,7 @@ class ConstraintSystem:
     A[i, cols[k]] = vals[k] for k in [indptr[i], indptr[i + 1]), cols ascending.
 
     The arrays are made read-only, so every solve can share them.  `rows`
-    views them as `Row`s.
+    views them as `Row`s, and `sparse_rows` adds the box rows for the solver.
     """
 
     num_vars: int
@@ -89,6 +89,23 @@ class ConstraintSystem:
         A = np.zeros((self.b.size, self.num_vars))
         A[np.repeat(np.arange(self.b.size), np.diff(self.indptr)), self.cols] = self.vals
         return A.tolist(), self.b.tolist()
+
+    @cached_property
+    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (indptr, rows, cols, vals) of the constraint list G.x <= h:
+        each variable j's box rows -x_j <= -lo_j and x_j <= up_j, then A's rows.
+
+        Entry e is G[rows[e], cols[e]] = vals[e], ordered by row and then by
+        column, and row i's entries are [indptr[i], indptr[i + 1]).
+        """
+        n = self.num_vars
+        indptr = np.concatenate([np.arange(2 * n), 2 * n + self.indptr])
+        out = (indptr, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
+               np.concatenate([np.arange(n).repeat(2), self.cols]),
+               np.concatenate([np.tile([-1.0, 1.0], n), self.vals]))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

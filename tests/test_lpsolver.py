@@ -249,8 +249,8 @@ class TestDegenerateShapes:
 
 
 def stored(cs):
-    """The arrays a system stores, which its solves read."""
-    return (cs.indptr, cs.cols, cs.vals, cs.b)
+    """The arrays a system stores, then the constraint list its solves read."""
+    return (cs.indptr, cs.cols, cs.vals, cs.b, *cs.sparse_rows)
 
 
 class TestSharedArrays:

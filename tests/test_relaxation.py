@@ -198,22 +198,24 @@ class TestArrayBuilder:
             rows[len(dense)]
 
     @pytest.mark.parametrize("include_boxes", [False, True])
-    def test_sparse_fields_are_a_by_row_then_column(self, include_boxes):
-        # A's nonzeros row by row, columns ascending; a box row is one entry
+    def test_sparse_rows_are_boxes_then_a(self, include_boxes):
+        # each variable's rows -x_j <= . and x_j <= ., then A's rows, built once
         H = builtin_code("hamming-7-4")
-        D = decompose(H)
-        boxed = range(H.n) if include_boxes else ()
-        for cs, oracle, boxes in ((feldman_system(H, include_boxes),
-                                   oracle_dense(H.rows, H.n, boxed), 2 * len(boxed)),
-                                  (decomposed_system(D, H.n), oracle_dense(D.rows, D.n), 0)):
-            n = cs.num_vars
-            rows = np.repeat(np.arange(cs.b.size), np.diff(cs.indptr))
-            G = np.zeros((cs.b.size, n))
-            G[rows, cs.cols] = cs.vals
-            assert (G.tolist(), cs.b.tolist()) == oracle
-            assert np.count_nonzero(cs.vals) == cs.vals.size == np.count_nonzero(G)
-            assert np.all(np.diff(rows * n + cs.cols) > 0)  # by row, then by column
-            assert np.diff(cs.indptr)[cs.b.size - boxes:].tolist() == [1] * boxes
+        for cs in (feldman_system(H, include_boxes), decomposed_system(decompose(H), H.n)):
+            A, n = dense_arrays(cs)[0], cs.num_vars
+            indptr, rows, cols, vals = cs.sparse_rows
+            assert np.array_equal(indptr, np.concatenate([np.arange(2 * n), 2 * n + cs.indptr]))
+            G = np.zeros((2 * n + A.shape[0], n))
+            G[rows, cols] = vals
+            box = np.zeros((2 * n, n))
+            box[2 * np.arange(n), np.arange(n)] = -1.0
+            box[2 * np.arange(n) + 1, np.arange(n)] = 1.0
+            assert np.array_equal(G, np.vstack([box, A]))
+            assert np.count_nonzero(vals) == vals.size == 2 * n + np.count_nonzero(A)
+            assert np.array_equal(np.diff(indptr), np.bincount(rows, minlength=G.shape[0]))
+            assert np.all(np.diff(rows * n + cols) > 0)  # by row, then by column
+            assert all(not v.flags.writeable for v in cs.sparse_rows)
+            assert cs.sparse_rows is cs.sparse_rows
 
 
 class TestDecompose:
