@@ -14,8 +14,8 @@ A solve starts at the box corner each cost favours: x_j at up_j if c_j < 0,
 else at lo_j, with that box row active.  Every reduced cost is then |c_j|, so
 the start is dual feasible (for a decoding LP it is the hard decision), and
 Lemke's dual simplex only has to repair the constraints it violates.  Each
-pivot computes the activity of every constraint from its sparse entries, takes
-the most violated one and builds only that constraint's tableau row.  The
+pivot computes the violation of every constraint, takes the most violated one
+and builds only that constraint's tableau row.  The
 ratio test picks the active constraint it replaces, and a rank-1 update of the
 n+1 rows makes the exchange; it touches only the rows whose entry in the pivot
 column is nonzero while fewer than half of them are.  The loop ends at an
@@ -27,9 +27,13 @@ no progress.  Remaining ties break by lowest index, so the result is
 deterministic.  An optional trace callback receives one `TraceEvent` per
 pivot.
 
-The constraint list comes from `ConstraintSystem.sparse_rows`, and b from
-`ConstraintSystem.b`; the system holds both read-only and shares them with
-every solve of it, and `solve` never writes them.
+The rows of A are priced by `ConstraintSystem.blocks`: all the checks of one
+degree share one sign pattern, so one gather of x over their supports and one
+matrix product give their rows' activities, each summed over its support in
+column order, as an entry-by-entry pass would.  The entering row is built from
+A's stored nonzeros, or is +-T[j] for a box row.  The system holds its arrays
+read-only and shares them with every solve of it, and `solve` never writes
+them.
 """
 
 from __future__ import annotations
@@ -129,13 +133,13 @@ class TraceEvent:
 TraceCallback = Callable[[TraceEvent], None]
 
 def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
-                      rows: tuple[np.ndarray, ...], h: np.ndarray,
+                      cs: ConstraintSystem, lo: np.ndarray, up: np.ndarray,
                       trace: TraceCallback | None = None) -> tuple[int, str]:
     """Pivot until no constraint is violated (Lemke's dual simplex).
 
-    `rows` and `h` are the constraint list G.x <= h: `ConstraintSystem.sparse_rows`
-    and its rhs, each variable's two box rows first, then A's.  `nonbasic[k]` is
-    the variable of column k's active constraint, and `at_up[j]` says whether
+    The constraint list is each variable's two box rows, -x_j <= -lo_j and
+    x_j <= up_j, first, then the rows of `cs`.  `nonbasic[k]` is the variable
+    of column k's active constraint, and `at_up[j]` says whether
     x_j's box row last active was its upper one.  Every reduced cost in the
     objective row must be nonnegative on entry, and the ratio test keeps it
     so.  The most violated constraint joins the active set, the first in the
@@ -152,15 +156,24 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
     the objective moves.
     """
     n = T.shape[0] - 1
-    indptr, row_of, cols, vals = rows
+    indptr, cols, vals, b, blocks = cs.indptr, cs.cols, cs.vals, cs.b, cs.blocks
     x = T[:n, -1]  # a view: the pivots update it in place
+    viol = np.empty(2 * n + b.size)  # each constraint's activity minus its rhs
+    below, above, viol_a = viol[:2 * n:2], viol[1:2 * n:2], viol[2 * n:]
     it = 0
     stall = 0
     use_bland = False
     last_obj = T[-1, -1]
     while True:
-        viol = np.bincount(row_of, vals * x[cols], h.size)
-        viol -= h
+        np.subtract(lo, x, out=below)
+        np.subtract(x, up, out=above)
+        for rows, supports, signs in blocks:
+            g = x[supports]
+            if len(g) > 1:  # a gemm, which sums each row over its support in order
+                viol_a[rows] = (g @ signs).ravel()
+            else:  # one support: NumPy would call gemv or dot, which may sum out of order
+                viol_a[rows] = sum(g.T * signs, 0.0)
+        viol_a -= b
         if use_bland:
             violated = (viol > FEAS_TOL).nonzero()[0]
             if violated.size == 0:
@@ -170,17 +183,20 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return it, "feasible"
-        # the slack h_r - G_r.x, written in the active slacks
-        s, e = indptr[r], indptr[r + 1]
-        row = vals[s:e] @ T[cols[s:e]]
-        np.negative(row, out=row)
-        row[-1] += h[r]
+        # the constraint's slack, rhs minus activity, written in the active slacks
         crossed = False  # a structural variable leaving at its other bound
-        if r < 2 * n:
+        if r < 2 * n:  # up_j - x_j or x_j - lo_j
             leaving, upper = divmod(r, 2)
+            row = -T[leaving] if upper else T[leaving].copy()
+            row[-1] += up[leaving] if upper else -lo[leaving]
             crossed = upper != at_up[leaving]
             at_up[leaving] = upper
         else:
+            i = r - 2 * n
+            s, e = indptr[i], indptr[i + 1]
+            row = vals[s:e] @ T[cols[s:e]]
+            np.negative(row, out=row)
+            row[-1] += b[i]
             leaving = r - n
         coef = row[:-1]
         cand = (coef < -1e-7).nonzero()[0]
@@ -247,8 +263,7 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     T[-1, -1] = -(c @ x0)
     nonbasic = np.arange(n)
 
-    h = np.concatenate([np.column_stack([-lo, up]).ravel(), cs.b])
-    iters, status = _run_dual_simplex(T, nonbasic, high, cs.sparse_rows, h, trace)
+    iters, status = _run_dual_simplex(T, nonbasic, high, cs, lo, up, trace)
     if status == "infeasible":
         return LpSolution(status="infeasible", point=None,
                           objective_value=None, iterations=iters)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -25,8 +25,9 @@ import numpy as np
 from .codes import DegreeProfile, ParityCheckMatrix
 
 
-# most nonzeros a system stores (512 MiB of cols and vals, and 768 MiB more in
-# sparse_rows once solved), and most cells of a decode's dense tableau (256 MiB)
+# most nonzeros a system stores (512 MiB of cols and vals, and up to 256 MiB
+# more of supports and row indices in its blocks, 512 MiB if every check has
+# degree 1), and most cells of a decode's dense tableau (256 MiB)
 MAX_ENTRIES = 2 ** 25
 
 
@@ -66,8 +67,13 @@ class ConstraintSystem:
     """A.x <= b over num_vars variables, with integer entries, stored by row:
     A[i, cols[k]] = vals[k] for k in [indptr[i], indptr[i + 1]), cols ascending.
 
-    The arrays are made read-only, so every solve can share them.  `rows`
-    views them as `Row`s, and `sparse_rows` adds the box rows for the solver.
+    `blocks` are the rows as the solver prices them.  In a block
+    `(rows, supports, signs)` each support's rows share one sign pattern, so
+    the activities of the rows `rows` of A (a slice, or their indices) are,
+    check-major, `x[supports] @ signs`, with `supports` k x d and `signs`
+    d x p.  A system given no blocks gets one per row, with that row's `vals`
+    as its signs.  The arrays are made read-only, so every solve can share
+    them.  `rows` views them as `Row`s.
     """
 
     num_vars: int
@@ -75,10 +81,15 @@ class ConstraintSystem:
     cols: np.ndarray
     vals: np.ndarray
     b: np.ndarray
+    blocks: tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     def __post_init__(self):
         for a in (self.indptr, self.cols, self.vals, self.b):
             a.flags.writeable = False
+        if self.blocks is None:
+            ends = self.indptr.tolist()
+            self.blocks = tuple((slice(i, i + 1), self.cols[s:e][None], self.vals[s:e][:, None])
+                                for i, (s, e) in enumerate(zip(ends, ends[1:])))
 
     @property
     def rows(self) -> Sequence[Row]:
@@ -89,23 +100,6 @@ class ConstraintSystem:
         A = np.zeros((self.b.size, self.num_vars))
         A[np.repeat(np.arange(self.b.size), np.diff(self.indptr)), self.cols] = self.vals
         return A.tolist(), self.b.tolist()
-
-    @cached_property
-    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (indptr, rows, cols, vals) of the constraint list G.x <= h:
-        each variable j's box rows -x_j <= -lo_j and x_j <= up_j, then A's rows.
-
-        Entry e is G[rows[e], cols[e]] = vals[e], ordered by row and then by
-        column, and row i's entries are [indptr[i], indptr[i + 1]).
-        """
-        n = self.num_vars
-        indptr = np.concatenate([np.arange(2 * n), 2 * n + self.indptr])
-        out = (indptr, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
-               np.concatenate([np.arange(n).repeat(2), self.cols]),
-               np.concatenate([np.tile([-1.0, 1.0], n), self.vals]))
-        for a in out:
-            a.flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True)
@@ -118,16 +112,23 @@ class ConstraintCounts:
 
 
 @lru_cache(maxsize=64)
-def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only signs (+1 on S, -1 elsewhere) and rhs |S|-1 of a degree-d check,
-    one row per odd subset S of its d positions, ascending size then lexicographic."""
+    one row per odd subset S of its d positions, ascending size then
+    lexicographic; then the signs again, transposed and contiguous, for pricing."""
     signs = np.full((2 ** (d - 1), d), -1.0)
     subsets = (S for k in range(1, d + 1, 2) for S in itertools.combinations(range(d), k))
     for r, positions in enumerate(subsets):
         signs[r, positions] = 1.0
     rhs = (signs > 0).sum(axis=1) - 1.0
-    signs.flags.writeable = rhs.flags.writeable = False
-    return signs, rhs
+    by_position = np.ascontiguousarray(signs.T)
+    for a in (signs, rhs, by_position):
+        a.flags.writeable = False
+    return signs, rhs, by_position
+
+
+_BOX_SIGNS = np.array([[-1.0, 1.0]])  # a variable's box rows -x_i <= 0 and x_i <= 1
+_BOX_SIGNS.flags.writeable = False
 
 
 def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> ConstraintSystem:
@@ -149,27 +150,42 @@ def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> 
     if entries > MAX_ENTRIES:
         raise RelaxationError(f"{name} of {entries} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
     indptr = np.cumsum(np.repeat([0, *degrees, 1], [1, *counts, boxes]))
+    # each check's first row and first entry, then the box rows'
+    first = [0, *itertools.accumulate(counts)]
+    offset = [0, *itertools.accumulate(d * k for d, k in zip(degrees, counts))]
+    checks: dict[int, list[int]] = {}
+    for i, d in enumerate(degrees):
+        checks.setdefault(d, []).append(i)
     cols = np.empty(entries, dtype=np.intp)
     vals = np.empty(entries)
     b = np.empty(indptr.size - 1)
-    row = 0
-    # a run of consecutive checks of one degree fills consecutive rows, and
-    # each row of a check holds its whole support, in column order
-    for d, run in itertools.groupby(H.rows, len):
-        supports = np.array(list(run))
-        signs, rhs = _check_pattern(d)
-        end = row + len(supports) * rhs.size
-        b[row:end].reshape(-1, rhs.size)[:] = rhs
-        at = slice(indptr[row], indptr[end])
-        cols[at].reshape(-1, *signs.shape)[:] = supports[:, None]
-        vals[at].reshape(-1, *signs.shape)[:] = signs
-        row = end
+    blocks = []
+    for d, which in checks.items():
+        signs, rhs, by_position = _check_pattern(d)
+        supports = np.array([H.rows[i] for i in which], dtype=np.intp)
+        supports.flags.writeable = False
+        # a run of consecutive checks fills consecutive rows, each holding its
+        # check's whole support, in column order, under the degree's signs
+        breaks = [j for j in range(1, len(which)) if which[j] != which[j - 1] + 1]
+        for s, e in zip([0, *breaks], [*breaks, len(which)]):
+            i, j = which[s], which[e - 1] + 1
+            b[first[i]:first[j]].reshape(e - s, -1)[:] = rhs
+            cols[offset[i]:offset[j]].reshape(e - s, *signs.shape)[:] = supports[s:e, None]
+            vals[offset[i]:offset[j]].reshape(e - s, *signs.shape)[:] = signs
+        if breaks:
+            rows = (np.array([first[i] for i in which])[:, None] + np.arange(rhs.size)).ravel()
+            rows.flags.writeable = False
+        else:
+            rows = slice(first[which[0]], first[which[-1] + 1])
+        blocks.append((rows, supports, by_position))
     if include_boxes:
-        at = slice(indptr[row], None)
-        cols[at].reshape(-1, 2)[:] = np.arange(H.n)[:, None]
-        vals[at].reshape(-1, 2)[:] = -1.0, 1.0
-        b[row:].reshape(-1, 2)[:] = 0.0, 1.0
-    return ConstraintSystem(H.n, indptr, cols, vals, b)
+        cols[offset[-1]:].reshape(-1, 2)[:] = np.arange(H.n)[:, None]
+        vals[offset[-1]:].reshape(-1, 2)[:] = -1.0, 1.0
+        b[first[-1]:].reshape(-1, 2)[:] = 0.0, 1.0
+        supports = np.arange(H.n)[:, None]
+        supports.flags.writeable = False
+        blocks.append((slice(first[-1], first[-1] + boxes), supports, _BOX_SIGNS))
+    return ConstraintSystem(H.n, indptr, cols, vals, b, tuple(blocks))
 
 
 def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:

@@ -15,6 +15,14 @@ def random_matrix(rng, max_checks=30, min_degree=3, max_degree=10) -> ParityChec
     return ParityCheckMatrix(n=n, rows=rows)
 
 
+def interleaved_code() -> ParityCheckMatrix:
+    """A 120-bit code whose 60 checks have degrees 5, 6, 7, 5, 6, 7, ..., so no
+    two neighbouring checks share a degree."""
+    rng = np.random.default_rng(7)
+    return ParityCheckMatrix(n=120, rows=tuple(
+        tuple(sorted(rng.choice(120, 5 + i % 3, replace=False).tolist())) for i in range(60)))
+
+
 def enumerate_vertices(A, b, tol=1e-9):
     """All vertices of {x : A.x <= b} by solving every n-row subsystem."""
     A = np.asarray(A, dtype=float)

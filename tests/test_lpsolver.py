@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from lpdecode import lpsolver
 from lpdecode.channel import Awgn, llr_costs, transmit
-from lpdecode.codes import builtin_code, from_dense, gallager
+from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense, gallager
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
                                SolverError, is_integral, solve)
 from lpdecode.relaxation import ConstraintSystem, feldman_system
 from lpdecode.simulate import sample_gamma
 
-from conftest import enumerate_vertices
+from conftest import enumerate_vertices, interleaved_code
 
 INF = float("inf")
 NAN = float("nan")
@@ -249,12 +249,18 @@ class TestDegenerateShapes:
 
 
 def stored(cs):
-    """The arrays a system stores, then the constraint list its solves read."""
-    return (cs.indptr, cs.cols, cs.vals, cs.b, *cs.sparse_rows)
+    """The arrays a system stores, then those of the blocks its solves price."""
+    return (cs.indptr, cs.cols, cs.vals, cs.b,
+            *(v for block in cs.blocks for v in block if isinstance(v, np.ndarray)))
 
 
 class TestSharedArrays:
     def test_cached_arrays_are_read_only(self):
+        # one degree; degrees that alternate, so blocks index their rows, and
+        # boxes; a system given as rows
+        for other in (feldman_system(interleaved_code(), include_boxes=True),
+                      make_cs([({0: 1, 1: -2}, 1), ({}, 0.5), ({1: 3}, 2)], 2)):
+            assert all(not v.flags.writeable for v in stored(other))
         cs = feldman_system(builtin_code("hamming-7-4"))
         assert all(not v.flags.writeable for v in stored(cs))
         A, b = (np.asarray(v) for v in cs.dense())
@@ -273,6 +279,55 @@ class TestSharedArrays:
         assert first.iterations == second.iterations > 0
         assert np.array_equal(first.point, second.point)
         assert all(np.array_equal(v, v0) for v, v0 in zip(stored(cs), before))
+
+
+class TestPinnedResults:
+    # pivots and objective bits of three AWGN decoding LPs per code, as the
+    # entry-by-entry activity pass computed them before pricing went by block
+    PINNED = {
+        ("gallager-120-3-12", "feldman"): [(5, "0x0.0p+0"), (6, "0x0.0p+0"), (12, "0x0.0p+0")],
+        ("gallager-120-3-12", "decomposed"): [(50, "0x0.0p+0"), (60, "0x0.0p+0"),
+                                              (114, "0x0.0p+0")],
+        ("gallager-204-3-6", "feldman"): [(63, "0x0.0p+0"), (90, "-0x1.2b964e8b3d00bp-48"),
+                                          (65, "0x0.0p+0")],
+        ("gallager-204-3-6", "decomposed"): [(243, "0x0.0p+0"), (294, "-0x1.1346875dbe66ep-48"),
+                                             (250, "-0x1.1e5dcaac3a748p-56")],
+        ("interleaved", "feldman"): [(30, "0x0.0p+0"), (42, "-0x1.2c48c3e4738b8p-54"),
+                                     (156, "-0x1.77f377653a42ep-1")],
+        ("interleaved", "decomposed"): [(120, "0x0.0p+0"), (145, "0x1.a8db72a5984a8p-51"),
+                                        (502, "-0x1.77f377653a3f2p-1")],
+    }
+    CODES = {"gallager-120-3-12": (lambda: gallager(120, 3, 12, 1), 0.6),
+             "gallager-204-3-6": (lambda: gallager(204, 3, 6, 1), 0.8),
+             "interleaved": (interleaved_code, 0.8)}
+
+    @pytest.mark.parametrize("code, formulation", list(PINNED))
+    def test_pivots_and_objective_bits(self, code, formulation):
+        make, sigma = self.CODES[code]
+        H, ch = make(), Awgn(sigma)
+        got = []
+        for t in range(3):
+            gamma = llr_costs(transmit(np.zeros(H.n, dtype=int), ch, t), ch)
+            sol = solve(build_program(H, gamma, formulation))
+            got.append((sol.iterations, sol.objective_value.hex()))
+        assert got == self.PINNED[code, formulation]
+
+    @pytest.mark.parametrize("rows, seed, pinned", [
+        (((0, 2, 4, 5), (0, 1, 3, 5, 6, 8, 9), (4, 5, 6, 7, 8, 9), (0, 4, 5, 6, 7),
+          (0, 4, 5, 6, 9), (0, 1, 2, 3, 5, 6, 9), (1,)), 34, (26, "-0x1.56088c6674582p+2")),
+        (((1, 2, 3, 5, 8), (5,), (1, 3, 6), (4, 7, 8), (0, 3), (1, 2, 6, 7, 8, 10),
+          (0, 2, 5, 6, 7, 8, 9), (4, 7, 10)), 36, (19, "-0x1.5c93053f68e53p+2")),
+        (((0, 1, 2, 3, 4, 6, 9), (1, 2, 4), (0, 1, 2, 3, 4, 7), (2, 4, 5, 7, 8), (2,), (3, 7)),
+         42, (29, "-0x1.7fb5441f36bc8p+3")),
+    ], ids=["n10", "n11", "n10b"])
+    def test_degrees_of_one_check(self, rows, seed, pinned):
+        # a degree held by a single check prices one support, which BLAS's
+        # gemv would sum out of order; wide bounds make the order show
+        H = ParityCheckMatrix(n=max(map(max, rows)) + 1, rows=rows)
+        lp = build_program(H, sample_gamma(H.n, 9, seed), "feldman")
+        lp.bounds = [(-1.0 - j % 3, 1.0 + j % 2) for j in range(H.n)]
+        sol = solve(lp)
+        assert (sol.iterations, sol.objective_value.hex()) == pinned
 
 
 class TestAgainstHighs:

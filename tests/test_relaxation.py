@@ -9,7 +9,7 @@ from lpdecode.decoder import codewords
 from lpdecode.relaxation import (MAX_ENTRIES, RelaxationError, count_constraints, decompose,
                                  decomposed_system, feldman_system, odd_binomial_sum)
 
-from conftest import random_matrix
+from conftest import interleaved_code, random_matrix
 
 PAPER_A = [
     [+1, -1, -1, 0],
@@ -198,24 +198,64 @@ class TestArrayBuilder:
             rows[len(dense)]
 
     @pytest.mark.parametrize("include_boxes", [False, True])
-    def test_sparse_rows_are_boxes_then_a(self, include_boxes):
-        # each variable's rows -x_j <= . and x_j <= ., then A's rows, built once
-        H = builtin_code("hamming-7-4")
-        for cs in (feldman_system(H, include_boxes), decomposed_system(decompose(H), H.n)):
-            A, n = dense_arrays(cs)[0], cs.num_vars
-            indptr, rows, cols, vals = cs.sparse_rows
-            assert np.array_equal(indptr, np.concatenate([np.arange(2 * n), 2 * n + cs.indptr]))
-            G = np.zeros((2 * n + A.shape[0], n))
-            G[rows, cols] = vals
-            box = np.zeros((2 * n, n))
-            box[2 * np.arange(n), np.arange(n)] = -1.0
-            box[2 * np.arange(n) + 1, np.arange(n)] = 1.0
-            assert np.array_equal(G, np.vstack([box, A]))
-            assert np.count_nonzero(vals) == vals.size == 2 * n + np.count_nonzero(A)
-            assert np.array_equal(np.diff(indptr), np.bincount(rows, minlength=G.shape[0]))
-            assert np.all(np.diff(rows * n + cols) > 0)  # by row, then by column
-            assert all(not v.flags.writeable for v in cs.sparse_rows)
-            assert cs.sparse_rows is cs.sparse_rows
+    def test_blocks_expand_to_the_rows(self, include_boxes):
+        # each block's rows, check-major, are its supports under its signs, and
+        # together the blocks hold every row of A once
+        rng = np.random.default_rng(11)
+        codes = [builtin_code(name) for name in ("paper-example", "hamming-7-4", "ldpc-48-24")]
+        codes += [interleaved_code()]
+        codes += [random_matrix(rng, max_checks=12, min_degree=1, max_degree=6) for _ in range(30)]
+        assert {1, 2} <= {len(s) for H in codes for s in H.rows}
+        systems = [feldman_system(H, include_boxes) for H in codes]
+        systems += [decomposed_system(decompose(H), H.n) for H in codes]
+        inter = systems[3]
+        assert any(isinstance(rows, np.ndarray) for rows, _, _ in inter.blocks)
+        for cs in systems:
+            # the same arrays given straight, with one block per row
+            csr = relaxation.ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b)
+            assert len(csr.blocks) == cs.b.size
+            for system in (cs, csr):
+                assert_blocks_expand(system)
+        for H, cs in zip(codes, systems):
+            degrees = {len(s) for s in H.rows}
+            assert len(cs.blocks) == len(degrees) + include_boxes  # one per distinct degree
+
+    def test_block_rows_are_a_slice_for_consecutive_checks(self):
+        blocks = feldman_system(builtin_code("ldpc-48-24"), include_boxes=True).blocks
+        assert [rows for rows, _, _ in blocks] == [slice(0, 768), slice(768, 864)]
+        # otherwise their indices, check-major: checks 0, 3, ... have degree 5
+        rows = feldman_system(interleaved_code()).blocks[0][0]
+        assert rows.shape == (20 * 16,) and not rows.flags.writeable
+        assert rows[:16].tolist() == list(range(16))
+        assert rows[16:32].tolist() == list(range(16 + 32 + 64, 16 + 32 + 64 + 16))
+
+
+def assert_blocks_expand(cs):
+    """The system's blocks rebuild its dense A, each row once, and price A.x
+    exactly at 0/1 points; all of their arrays are read-only."""
+    A, _ = dense_arrays(cs)
+    row_of = np.repeat(np.arange(cs.b.size), np.diff(cs.indptr))
+    assert np.all(np.diff(row_of * cs.num_vars + cs.cols) > 0)  # by row, then by column
+    assert np.count_nonzero(cs.vals) == cs.vals.size == np.count_nonzero(A)
+    G = np.full_like(A, np.nan)
+    for rows, supports, signs in cs.blocks:
+        k, p = supports.shape[0], signs.shape[1]
+        assert signs.shape[0] == supports.shape[1]
+        rows = np.arange(cs.b.size)[rows].reshape(k, p)
+        assert np.isnan(G[rows]).all()  # no row in two blocks
+        G[rows] = 0.0
+        for j in range(k):
+            G[rows[j][:, None], supports[j]] = signs.T
+    assert np.array_equal(G, A)
+    for a in (v for block in cs.blocks for v in block if isinstance(v, np.ndarray)):
+        assert not a.flags.writeable
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        x = rng.integers(0, 2, cs.num_vars).astype(float)
+        activity = np.empty(cs.b.size)
+        for rows, supports, signs in cs.blocks:
+            activity[rows] = (x[supports] @ signs).ravel()
+        assert np.array_equal(activity, A @ x)
 
 
 class TestDecompose:
