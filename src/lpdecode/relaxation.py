@@ -150,41 +150,44 @@ def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> 
     if entries > MAX_ENTRIES:
         raise RelaxationError(f"{name} of {entries} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
     indptr = np.cumsum(np.repeat([0, *degrees, 1], [1, *counts, boxes]))
-    # each check's first row and first entry, then the box rows'
-    first = [0, *itertools.accumulate(counts)]
-    offset = [0, *itertools.accumulate(d * k for d, k in zip(degrees, counts))]
-    checks: dict[int, list[int]] = {}
-    for i, d in enumerate(degrees):
-        checks.setdefault(d, []).append(i)
     cols = np.empty(entries, dtype=np.intp)
     vals = np.empty(entries)
     b = np.empty(indptr.size - 1)
+    # the runs of consecutive checks of one degree, by degree: each run's
+    # first check, length, first row and first entry
+    runs: dict[int, list[tuple[int, int, int, int]]] = {}
+    i = row = at = 0
+    for d, run in itertools.groupby(degrees):
+        k = len(list(run))
+        runs.setdefault(d, []).append((i, k, row, at))
+        i, row, at = i + k, row + (k << (d - 1)), at + d * (k << (d - 1))
     blocks = []
-    for d, which in checks.items():
+    for d, their in runs.items():
         signs, rhs, by_position = _check_pattern(d)
-        supports = np.array([H.rows[i] for i in which], dtype=np.intp)
+        supports = np.array([H.rows[j] for i, k, _, _ in their for j in range(i, i + k)],
+                            dtype=np.intp)
         supports.flags.writeable = False
-        # a run of consecutive checks fills consecutive rows, each holding its
-        # check's whole support, in column order, under the degree's signs
-        breaks = [j for j in range(1, len(which)) if which[j] != which[j - 1] + 1]
-        for s, e in zip([0, *breaks], [*breaks, len(which)]):
-            i, j = which[s], which[e - 1] + 1
-            b[first[i]:first[j]].reshape(e - s, -1)[:] = rhs
-            cols[offset[i]:offset[j]].reshape(e - s, *signs.shape)[:] = supports[s:e, None]
-            vals[offset[i]:offset[j]].reshape(e - s, *signs.shape)[:] = signs
-        if breaks:
-            rows = (np.array([first[i] for i in which])[:, None] + np.arange(rhs.size)).ravel()
-            rows.flags.writeable = False
+        # a run fills consecutive rows, each holding its check's whole support,
+        # in column order, under the degree's signs
+        s = 0
+        for _, k, r, e in their:
+            b[r:r + k * rhs.size].reshape(k, -1)[:] = rhs
+            cols[e:e + k * signs.size].reshape(k, *signs.shape)[:] = supports[s:s + k, None]
+            vals[e:e + k * signs.size].reshape(k, *signs.shape)[:] = signs
+            s += k
+        if len(their) == 1:
+            rows = slice(their[0][2], their[0][2] + s * rhs.size)
         else:
-            rows = slice(first[which[0]], first[which[-1] + 1])
+            rows = np.concatenate([np.arange(r, r + k * rhs.size) for _, k, r, _ in their])
+            rows.flags.writeable = False
         blocks.append((rows, supports, by_position))
     if include_boxes:
-        cols[offset[-1]:].reshape(-1, 2)[:] = np.arange(H.n)[:, None]
-        vals[offset[-1]:].reshape(-1, 2)[:] = -1.0, 1.0
-        b[first[-1]:].reshape(-1, 2)[:] = 0.0, 1.0
+        cols[at:].reshape(-1, 2)[:] = np.arange(H.n)[:, None]
+        vals[at:].reshape(-1, 2)[:] = -1.0, 1.0
+        b[row:].reshape(-1, 2)[:] = 0.0, 1.0
         supports = np.arange(H.n)[:, None]
         supports.flags.writeable = False
-        blocks.append((slice(first[-1], first[-1] + boxes), supports, _BOX_SIGNS))
+        blocks.append((slice(row, row + boxes), supports, _BOX_SIGNS))
     return ConstraintSystem(H.n, indptr, cols, vals, b, tuple(blocks))
 
 

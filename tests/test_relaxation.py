@@ -219,6 +219,13 @@ class TestArrayBuilder:
         for H, cs in zip(codes, systems):
             degrees = {len(s) for s in H.rows}
             assert len(cs.blocks) == len(degrees) + include_boxes  # one per distinct degree
+        for cs in systems:
+            # b too: an odd subset S's row has rhs |S| - 1, a box row 0 or 1
+            rhs = np.full(cs.b.size, np.nan)
+            for rows, supports, signs in cs.blocks:
+                box = signs.tolist() == [[-1.0, 1.0]]
+                rhs[rows] = np.tile((signs > 0).sum(axis=0) - (not box), supports.shape[0])
+            assert np.array_equal(rhs, cs.b)
 
     def test_block_rows_are_a_slice_for_consecutive_checks(self):
         blocks = feldman_system(builtin_code("ldpc-48-24"), include_boxes=True).blocks
