@@ -5,8 +5,12 @@ A code's decoding LP differs from decode to decode only in its costs, so each
 bounded cache, and shared by every decode of that code.  A decode whose hard
 decision already satisfies every check returns it without solving: it attains
 the lower bound sum(min(gamma_i, 0)) of both relaxations, so it is their
-optimum and the ML codeword.  A decode returns a plain `DecodeOutcome`; `cli`
-writes it.
+optimum and the ML codeword.  Otherwise a chain LP carries a crash: the
+auxiliaries of every check whose hard decision has a one start basic at their
+parity (`relaxation.chain_crash` plans it once per code, `build_program`
+picks its rows from the hard decision), so the solve still starts at the hard
+decision, with fewer pivots to make.  A decode returns a plain
+`DecodeOutcome`; `cli` writes it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from . import lpsolver
 from .channel import CostVector, trial_rng
 from .codes import ParityCheckMatrix
-from .relaxation import (MAX_ENTRIES, ConstraintSystem, RelaxationError, decompose,
-                         decomposed_system, feldman_system)
+from .relaxation import (MAX_ENTRIES, ConstraintSystem, RelaxationError, chain_crash,
+                         decompose, decomposed_system, feldman_system)
 
 INTEGRALITY_TOL = 1e-6
 ML_ENUM_LIMIT = 28
@@ -43,7 +47,7 @@ class DecodeOutcome:
     integral: bool
     codeword: list[int] | None
     ml_certified: bool
-    iterations: int
+    iterations: int  # the solver's dual pivots; a chain LP's crash is not counted
     wall_clock_ns: int  # fields are in output order
 
 
@@ -51,8 +55,13 @@ def is_codeword(H: ParityCheckMatrix, bits) -> bool:
     """True iff the 0/1 sequence `bits`, of length H.n, satisfies every check of H."""
     if len(bits) != H.n:
         raise DecodeError(f"word length {len(bits)} != n {H.n}")
+    return not np.count_nonzero(_check_ones(H, bits) % 2)
+
+
+def _check_ones(H: ParityCheckMatrix, bits) -> np.ndarray:
+    """How many ones the 0/1 sequence `bits` has on each check's support."""
     cols, starts = _check_supports(H)
-    return not np.count_nonzero(np.add.reduceat(np.asarray(bits, dtype=np.intp)[cols], starts) % 2)
+    return np.add.reduceat(np.asarray(bits, dtype=np.intp)[cols], starts)
 
 
 @functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
@@ -93,12 +102,48 @@ def _checked_system(H: ParityCheckMatrix, gamma: CostVector,
     return _compiled_system(H, formulation)
 
 
-def build_program(H: ParityCheckMatrix, gamma: CostVector,
-                  formulation: str) -> lpsolver.LinearProgram:
-    """Attach the costs to the code's compiled system; auxiliary costs are 0."""
+# a chain LP's crash plan, built once per code, and only once a chain LP is assembled
+_crash_plan = functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)(chain_crash)
+
+
+def _chain_crash(H: ParityCheckMatrix, hard: np.ndarray,
+                 ones: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The chain LP's crash at the hard decision `hard`, whose checks hold `ones` ones.
+
+    Every auxiliary of a check with a one enters at its parity, level by
+    level; a check with none keeps its auxiliaries at 0, which is their
+    parity too.
+    """
+    bit = hard.view(np.int8)
+    crash = []
+    for level in _crash_plan(H):
+        picked = ones[level.check].nonzero()[0]
+        if not picked.size:
+            break  # a level's checks all have auxiliaries on the level below
+        values = bit[level.bits[picked]]  # the bits whose parity each one takes, m last
+        # its triple's end e holds the parity of all but m, one bit on level 1
+        e = values[:, 0] if values.shape[1] == 2 else values[:, :-1].sum(1) & 1
+        crash.append((level.aux[picked], level.rows[picked, e, values[:, -1]]))
+    return tuple(crash)
+
+
+def build_program(H: ParityCheckMatrix, gamma: CostVector, formulation: str,
+                  hard: tuple[np.ndarray, np.ndarray] | None = None) -> lpsolver.LinearProgram:
+    """Attach the costs to the code's compiled system; auxiliary costs are 0.
+
+    A chain LP also gets its crash at the hard decision (see `_chain_crash`).
+    `hard`, the hard decision and each check's count of ones in it, saves
+    computing them again.
+    """
     cs = _checked_system(H, gamma, formulation)
     objective = np.concatenate([gamma.gammas, np.zeros(cs.num_vars - H.n)])
-    return lpsolver.LinearProgram(objective=objective, constraints=cs)
+    crash = ()
+    if cs.num_vars > H.n:  # a chain LP with auxiliaries
+        if hard is None:
+            bits = gamma.gammas < 0.0
+            hard = bits, _check_ones(H, bits)
+        crash = _chain_crash(H, *hard)
+    return lpsolver.LinearProgram(objective=objective, constraints=cs, crash=crash)
 
 
 def decode(H: ParityCheckMatrix, gamma: CostVector,
@@ -115,7 +160,8 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
     _checked_system(H, gamma, formulation)
     t0 = time.monotonic_ns()
     hard = gamma.gammas < 0.0
-    if is_codeword(H, hard):
+    ones = _check_ones(H, hard)
+    if not np.count_nonzero(ones % 2):
         elapsed = time.monotonic_ns() - t0
         point = hard.astype(float)
         return DecodeOutcome(
@@ -128,7 +174,7 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
             iterations=0,
             wall_clock_ns=elapsed,
         )
-    lp = build_program(H, gamma, formulation)
+    lp = build_program(H, gamma, formulation, (hard, ones))
     sol = lpsolver.solve(lp)
     elapsed = time.monotonic_ns() - t0
     if sol.status != "optimal":

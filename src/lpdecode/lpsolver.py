@@ -13,9 +13,16 @@ holds the reduced costs, which are the active constraints' dual values.
 A solve starts at the box corner each cost favours: x_j at up_j if c_j < 0,
 else at lo_j, with that box row active.  Every reduced cost is then |c_j|, so
 the start is dual feasible (for a decoding LP it is the hard decision), and
-Lemke's dual simplex only has to repair the constraints it violates.  Each
-pivot computes the violation of every constraint, takes the most violated one
-and builds only that constraint's tableau row.  The
+Lemke's dual simplex only has to repair the constraints it violates.  An LP
+may carry a crash (Bixby, 1992): levels of zero-cost variables, each to be
+made basic through a given row of A in place of its box row.  `solve` makes
+those exchanges first, one vectorised step per level, and checks that each is
+a unit-column pivot by +-1, so the point, the objective row and dual
+feasibility are unchanged.  A chain LP starts auxiliaries this way at the hard
+decision's parities, so the dual loop spends no pivot on swapping their box
+rows for rows of their triples.  Each dual pivot computes the violation of
+every constraint, takes the most violated one and builds only that
+constraint's tableau row.  The
 ratio test picks the active constraint it replaces, and a rank-1 update of the
 n+1 rows makes the exchange; it touches only the rows whose entry in the pivot
 column is nonzero while fewer than half of them are.  The loop ends at an
@@ -25,13 +32,14 @@ went negative on the way.
 The dual loop falls back to Bland's rule after STALL_LIMIT pivots that make
 no progress.  Remaining ties break by lowest index, so the result is
 deterministic.  An optional trace callback receives one `TraceEvent` per
-pivot.
+dual pivot; the crash sends none.
 
 The rows of A are priced by `ConstraintSystem.blocks`: all the checks of one
 degree share one sign pattern, so one gather of x over their supports and one
 matrix product give their rows' activities, each summed over its support in
 column order, as an entry-by-entry pass would.  The entering row is built from
-A's stored nonzeros, or is +-T[j] for a box row.  The system holds its arrays
+A's stored nonzeros, or is +-T[j] for a box row; the crash reads its rows from
+`ConstraintSystem.by_row`.  The system holds its arrays
 read-only and shares them with every solve of it, and `solve` never writes
 them.
 """
@@ -67,6 +75,8 @@ class LinearProgram:
     objective: np.ndarray | Sequence[float]  # one cost per variable
     constraints: ConstraintSystem
     bounds: list[tuple[float, float]] | None = None  # default (0, 1) per variable
+    # levels of (variables, rows) that `solve` makes basic before its dual loop
+    crash: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def resolved_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds as float arrays; (0, 1) per variable by default."""
@@ -110,6 +120,75 @@ def _pivot(T: np.ndarray, row: np.ndarray, k: int) -> None:
     else:
         T -= np.multiply.outer(col, piv_row)
     T[:, k] = col / -piv
+
+
+def _start(c: np.ndarray, lo: np.ndarray,
+           up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tableau, the active constraint of each column and `at_up` at the start.
+
+    Each x_j starts at the bound its cost favours, so no reduced cost is
+    negative: x_j = lo_j + s_j with -x_j <= -lo_j active, or x_j = up_j - s_j
+    with x_j <= up_j active; the objective row is -z = -c.x minus |c_j| s_j.
+    """
+    n = c.size
+    high = c < 0.0
+    x0 = np.where(high, up, lo)
+    T = np.zeros((n + 1, n + 1))
+    T.ravel()[:n * (n + 2):n + 2] = np.where(high, 1.0, -1.0)  # the diagonal of T[:n, :n]
+    T[:n, -1] = x0
+    T[-1, :n] = np.abs(c)
+    T[-1, -1] = -(c @ x0)
+    return T, np.arange(n), high
+
+
+def _crash(T: np.ndarray, nonbasic: np.ndarray, cs: ConstraintSystem, c: np.ndarray,
+           crash: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
+    """Make each crash variable basic through its row, one level at a time.
+
+    A level (variables, rows) makes variables[i] basic in place of its box
+    row, with the row of A rows[i] active instead.  That is what `_pivot` does
+    with that row's slack, one variable after another, but in one step per
+    level, because no pivot of a level can see another: each variable must
+    cost 0 and keep the unit column it started with, which no earlier crash
+    row reached, so only its own row changes; and each row must hold its own
+    variable with coefficient +-1 and no other variable of its level.
+    Anything else raises SolverError.
+    """
+    n = T.shape[0] - 1
+    reached: set[int] = set()  # the columns earlier crash pivots changed
+    for level_index, (variables, rows) in enumerate(crash, 1):
+        z = np.asarray(variables, dtype=np.intp)
+        rows = np.asarray(rows, dtype=np.intp)
+        zl, rl = z.tolist(), rows.tolist()
+        if z.ndim != 1 or rows.shape != z.shape or (zl and not (
+                0 <= min(zl) and max(zl) < n and 0 <= min(rl) and max(rl) < cs.b.size)):
+            raise SolverError("a crash level pairs each of its variables with a row of A")
+        if not zl:
+            continue
+        level = set(zl)
+        if len(level) < len(zl) or not reached.isdisjoint(level) or np.count_nonzero(c[z]):
+            raise SolverError(f"crash variables {zl} must each appear once, cost 0 and keep "
+                              "the unit column they start with")
+        cols, vals = (a[rows] for a in cs.by_row)
+        # each row's activity minus its rhs, in the active slacks: minus its
+        # slack's tableau row, as the dual loop builds that
+        act = (vals[:, None] @ T[cols])[:, 0]
+        # on the level's unit columns it is minus each row's coefficients there
+        block = act[:, z]
+        pivots = -block.diagonal()
+        if np.count_nonzero(block) != z.size or not set(pivots.tolist()) <= {1.0, -1.0}:
+            raise SolverError("each crash row must hold its own variable with coefficient +-1 "
+                              "and no other variable of its level")
+        if level_index < len(crash):
+            reached.update(cols.ravel().tolist())
+        act[:, -1] -= cs.b[rows]
+        # `_pivot`'s update: column z is -e_z, so only row z changes, by its
+        # slack's row over the pivot, and its entry in column z becomes 1 /
+        # pivot, which is the pivot; all of it exact
+        act *= pivots[:, None]
+        T[z] -= act
+        T[z, z] = pivots
+        nonbasic[z] = rows + n
 
 
 STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's rule
@@ -240,7 +319,9 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
 def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     """Solve the program, returning an optimal vertex or infeasible.
 
-    `trace`, if given, is called with a `TraceEvent` for every pivot.
+    The LP's crash, if any, is applied first (see `_crash`; a bad one raises
+    SolverError).  `iterations` and `trace`, which, if given, is called with a
+    `TraceEvent` for every pivot, cover the dual loop's pivots only.
     """
     cs = lp.constraints
     n = cs.num_vars
@@ -250,24 +331,15 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     if not np.isfinite(c).all():
         raise DimensionError("objective has a non-finite cost")
     lo, up = lp.resolved_bounds()
-
-    # start at the bound each cost favours, so no reduced cost is negative:
-    # x_j = lo_j + s_j with -x_j <= -lo_j active, or x_j = up_j - s_j with
-    # x_j <= up_j active; the objective row is -z = -c.x minus |c_j| s_j
-    high = c < 0.0
-    x0 = np.where(high, up, lo)
-    T = np.zeros((n + 1, n + 1))
-    np.fill_diagonal(T[:n], np.where(high, 1.0, -1.0))
-    T[:n, -1] = x0
-    T[-1, :n] = np.abs(c)
-    T[-1, -1] = -(c @ x0)
-    nonbasic = np.arange(n)
+    T, nonbasic, high = _start(c, lo, up)
+    if lp.crash:
+        _crash(T, nonbasic, cs, c, lp.crash)
 
     iters, status = _run_dual_simplex(T, nonbasic, high, cs, lo, up, trace)
     if status == "infeasible":
         return LpSolution(status="infeasible", point=None,
                           objective_value=None, iterations=iters)
-    if (T[-1, :-1] < -FEAS_TOL).any():
+    if np.count_nonzero(T[-1, :-1] < -FEAS_TOL):
         # the dual ratio test keeps every reduced cost nonnegative, so the
         # feasible basis it ends on is optimal unless that invariant broke
         raise SolverError("the dual simplex ended with a negative reduced cost")

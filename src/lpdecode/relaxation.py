@@ -9,7 +9,8 @@ The chain reformulation is itself a code: `decompose` rewrites each degree-d
 check (d >= 4) as d-2 degree-3 checks linked by d-3 auxiliary variables, and
 the chain relaxation is Feldman's system of that code.  It needs only
 4*(d-2) rows per check, and the 0/1 box bounds become implied for every
-variable covered by a degree-3 check.
+variable covered by a degree-3 check.  `chain_crash` plans, once per code,
+how a chain LP's auxiliaries enter the basis at a hard decision's parities.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -73,7 +74,8 @@ class ConstraintSystem:
     check-major, `x[supports] @ signs`, with `supports` k x d and `signs`
     d x p.  A system given no blocks gets one per row, with that row's `vals`
     as its signs.  The arrays are made read-only, so every solve can share
-    them.  `rows` views them as `Row`s.
+    them.  `rows` views them as `Row`s, and `by_row`, built on first use,
+    holds each row's entries in one row of two arrays.
     """
 
     num_vars: int
@@ -94,6 +96,20 @@ class ConstraintSystem:
     @property
     def rows(self) -> Sequence[Row]:
         return _Rows(self)
+
+    @cached_property
+    def by_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """`cols` and `vals` as read-only m x w arrays, w the length of the
+        longest row: row i's entries, then its last column again with value 0."""
+        width = np.diff(self.indptr)
+        w = int(width.max(initial=0))
+        if w * width.size == self.vals.size:  # every row has w entries: views
+            return self.cols.reshape(width.size, w), self.vals.reshape(width.size, w)
+        last = np.maximum(self.indptr[1:, None] - 1, 0)
+        at = np.minimum(self.indptr[:-1, None] + np.arange(w), last)
+        cols, vals = self.cols[at], np.where(np.arange(w) < width[:, None], self.vals[at], 0.0)
+        cols.flags.writeable = vals.flags.writeable = False
+        return cols, vals
 
     def dense(self):
         """Dense (A, b) as float lists, for golden comparisons."""
@@ -191,6 +207,21 @@ def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> 
     return ConstraintSystem(H.n, indptr, cols, vals, b, tuple(blocks))
 
 
+def _chains(H: ParityCheckMatrix):
+    """Each check of degree d >= 3 as (its index, its support, its chain's ends).
+
+    The ends of a support (i_1,...,i_d) are (i_1, z_1, ..., z_{d-3}, i_d), with
+    the auxiliary columns z numbered from H.n, check-major then chain order.
+    Triple t of the chain is (ends[t], support[t+1], ends[t+1]).
+    """
+    next_aux = H.n
+    for j, support in enumerate(H.rows):
+        d = len(support)
+        if d >= 3:
+            yield j, support, (support[0], *range(next_aux, next_aux + d - 3), support[-1])
+            next_aux += d - 3
+
+
 def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:
     """The chain code of H, whose checks all have degree at most 3.
 
@@ -202,18 +233,70 @@ def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:
     Restricted to the first H.n columns, the chain code's codewords are exactly
     H's, and each extends in exactly one way.
     """
-    triples: list[tuple[int, ...]] = []
-    short: list[tuple[int, ...]] = []
-    next_aux = H.n
-    for support in H.rows:
+    triples = [tuple(sorted(t)) for _, support, ends in _chains(H)
+               for t in zip(ends, support[1:-1], ends[1:])]
+    short = tuple(support for support in H.rows if len(support) < 3)
+    n = H.n + sum(len(support) - 3 for support in H.rows if len(support) > 3)
+    return ParityCheckMatrix(n=n, rows=(*triples, *short))
+
+
+@dataclass(frozen=True)
+class CrashLevel:
+    """One level of a chain LP's crash plan: the auxiliaries it makes basic.
+
+    Auxiliary i takes the parity of the bits `bits[i]` of its check, which
+    end with its triple's middle bit m; the bits before m are its triple's
+    end e, an original bit on level 1 and an auxiliary of the level below
+    otherwise.  `rows[i, e, m]` is the row of that triple that is tight at
+    those values of e and m.
+    """
+
+    check: np.ndarray  # each auxiliary's check
+    aux: np.ndarray  # its variable
+    bits: np.ndarray  # (A, level + 1) the original bits whose parity it takes, m last
+    rows: np.ndarray  # (A, 2, 2) its crash row by the values of e and m
+
+
+def chain_crash(H: ParityCheckMatrix) -> tuple[CrashLevel, ...]:
+    """Where each auxiliary of decompose(H) enters the basis at a 0/1 word's parity point.
+
+    A check of degree d has the auxiliaries z_1..z_k, k = d-3.  With q <=
+    ceil(k/2), z_q takes the parity of the check's first q+1 bits and enters
+    through triple q-1, on level q; otherwise it takes the parity of the last
+    d-q-1 bits and enters through triple q, on level k-q+1.  Either way the
+    triple is (end e, middle m, z) with z = e xor m, and its row that is tight
+    there has S = {e if e = 1} + {m if m = 1} + {z if z = 0}.  A level reads
+    only the rows of auxiliaries of the levels below it, and triple t is the
+    rows 4t..4t+3 of the chain system.  Every check with auxiliaries has one on
+    level 1.
+    """
+    signs = _check_pattern(3)[0]
+    row_of = {frozenset(np.flatnonzero(r > 0).tolist()): i for i, r in enumerate(signs)}
+    levels: dict[int, list] = {}
+    triple = 0  # the check's first triple
+    for j, support, ends in _chains(H):
         d = len(support)
-        if d < 3:
-            short.append(support)
-            continue
-        ends = [support[0], *range(next_aux, next_aux + d - 3), support[-1]]
-        next_aux += d - 3
-        triples.extend(tuple(sorted(t)) for t in zip(ends, support[1:-1], ends[1:]))
-    return ParityCheckMatrix(n=next_aux, rows=tuple(triples + short))
+        k = d - 3
+        for q in range(1, k + 1):
+            if q <= (k + 1) // 2:  # from the left: e holds bits 0..q-1, and m is bit q
+                level, t, e, bits = q, q - 1, ends[q - 1], support[:q + 1]
+            else:  # from the right: m is bit q+1, and e holds the bits after it
+                level, t, e, bits = k - q + 1, q, ends[q + 1], (*support[q + 2:], support[q + 1])
+            z, m = ends[q], bits[-1]
+            order = sorted((ends[t], support[t + 1], ends[t + 1]))
+            rows = [[0, 0], [0, 0]]
+            for u, w in itertools.product((0, 1), repeat=2):
+                S = [v for v, one in ((e, u), (m, w), (z, 1 - (u ^ w))) if one]
+                rows[u][w] = 4 * (triple + t) + row_of[frozenset(map(order.index, S))]
+            levels.setdefault(level, []).append((j, z, bits, rows))
+        triple += d - 2
+    plan = []
+    for level in sorted(levels):
+        check, aux, bits, rows = (np.array(c, dtype=np.intp) for c in zip(*levels[level]))
+        for a in (check, aux, bits, rows):
+            a.flags.writeable = False
+        plan.append(CrashLevel(check, aux, bits, rows))
+    return tuple(plan)
 
 
 def decomposed_system(D: ParityCheckMatrix, n_original: int) -> ConstraintSystem:

@@ -170,7 +170,7 @@ class TestGoldenOutput:
                        "1,3,bsc:0.05,zero,feldman,1,1,0,0,0\n"
                        "1,3,bsc:0.05,zero,decomposed,1,1,0,0,0\n"
                        "2,3,bsc:0.05,zero,feldman,1,1,4,1,1\n"
-                       "2,3,bsc:0.05,zero,decomposed,1,1,4,1,4\n"
+                       "2,3,bsc:0.05,zero,decomposed,1,1,4,1,1\n"
                        "3,3,bsc:0.05,zero,feldman,1,1,0,0,0\n"
                        "3,3,bsc:0.05,zero,decomposed,1,1,0,0,0\n")
         _, timed = run(capsys, *args, "--timing")

@@ -172,7 +172,7 @@ class TestDecode:
         fresh = (feldman_system(H) if formulation == "feldman"
                  else decomposed_system(decompose(H), H.n))
         a = lpsolver.solve(again)
-        b = lpsolver.solve(lpsolver.LinearProgram(again.objective, fresh))
+        b = lpsolver.solve(lpsolver.LinearProgram(again.objective, fresh, crash=again.crash))
         assert a.iterations == b.iterations
         assert np.array_equal(a.point, b.point)
 
@@ -194,12 +194,12 @@ class TestDecode:
         H = builtin_code("ldpc-48-24")
         outs = [[decode(H, sample_gamma(H.n, 1, t), f) for f in FORMULATIONS] for t in range(4)]
         assert [[o.iterations for o in row] for row in outs] == [
-            [63, 190], [39, 151], [31, 127], [33, 130]]
+            [63, 128], [39, 85], [31, 68], [33, 67]]
         assert [[o.objective.hex() for o in row] for row in outs] == [
             ["-0x1.55b07d608cd78p+5", "-0x1.55b07d608cd79p+5"],
             ["-0x1.e1eb4a5093eebp+5", "-0x1.e1eb4a5093eeap+5"],
             ["-0x1.05782d5306ddap+6", "-0x1.05782d5306ddap+6"],
-            ["-0x1.e100638bda1e1p+5", "-0x1.e100638bda1e0p+5"]]
+            ["-0x1.e100638bda1e1p+5", "-0x1.e100638bda1e2p+5"]]
 
     def test_json_serialization(self):
         # the field order is the decode JSON's key order, pinned by test_cli's golden test
@@ -209,6 +209,54 @@ class TestDecode:
             "iterations", "wall_clock_ns"]
         assert out.formulation == "feldman"
         assert isinstance(out.point, np.ndarray)
+
+
+class TestChainCrash:
+    """A chain LP starts with the auxiliaries of each check with a one basic at their parity."""
+
+    @staticmethod
+    def auxiliaries(H):
+        """Each check's auxiliary columns, numbered as `decompose` numbers them."""
+        first = itertools.accumulate((max(len(r) - 3, 0) for r in H.rows), initial=H.n)
+        return [set(range(a, a + max(len(r) - 3, 0))) for a, r in zip(first, H.rows)]
+
+    def test_only_checks_with_a_one_are_crashed(self):
+        H = builtin_code("ldpc-48-24")
+        for j in (0, 17, 47):
+            gammas = np.ones(H.n)
+            gammas[j] = -1.0
+            lp = build_program(H, CostVector(gammas=gammas), "decomposed")
+            crashed = set(np.concatenate([z for z, _ in lp.crash]).tolist())
+            expected = set().union(*(aux for row, aux in zip(H.rows, self.auxiliaries(H))
+                                     if j in row))
+            assert crashed == expected and len(crashed) == 3 * 3
+
+    def test_all_zero_hard_decision_and_feldman_get_none(self):
+        H = builtin_code("ldpc-48-24")
+        assert build_program(H, CostVector(gammas=np.ones(H.n)), "decomposed").crash == ()
+        assert build_program(H, sample_gamma(H.n, 1, 0), "feldman").crash == ()
+        assert build_program(HAMMING, sample_gamma(7, 1, 0), "feldman").crash == ()
+
+    @pytest.mark.parametrize("name", ["hamming-7-4", "ldpc-48-24"])
+    def test_crash_starts_at_the_hard_decision(self, name):
+        # the crash moves no original variable: every crashed auxiliary sits at
+        # its parity, 0 or 1, on a tight row, and every other one stays at 0
+        H = builtin_code(name)
+        for t in range(5):
+            gamma = sample_gamma(H.n, 8, t)
+            lp = build_program(H, gamma, "decomposed")
+            cs = lp.constraints
+            lo, up = lp.resolved_bounds()
+            T, nonbasic, _ = lpsolver._start(lp.objective, lo, up)
+            lpsolver._crash(T, nonbasic, cs, lp.objective, lp.crash)
+            x = T[:-1, -1]
+            assert np.array_equal(x[:H.n], gamma.gammas < 0)
+            assert set(x[H.n:].tolist()) <= {0.0, 1.0}
+            A, b = (np.asarray(v) for v in cs.dense())
+            rows = np.concatenate([r for _, r in lp.crash])
+            assert np.array_equal(A[rows] @ x, b[rows])
+            crashed = np.concatenate([z for z, _ in lp.crash])
+            assert not x[np.setdiff1d(np.arange(H.n, cs.num_vars), crashed)].any()
 
 
 class TestHardDecisionFastPath:

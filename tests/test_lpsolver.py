@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdecode import lpsolver
-from lpdecode.channel import Awgn, llr_costs, transmit
+from lpdecode.channel import Awgn, Bsc, llr_costs, transmit
 from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense, gallager
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
@@ -12,7 +14,7 @@ from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgra
 from lpdecode.relaxation import ConstraintSystem, feldman_system
 from lpdecode.simulate import sample_gamma
 
-from conftest import enumerate_vertices, interleaved_code
+from conftest import enumerate_vertices, interleaved_code, random_matrix
 
 INF = float("inf")
 NAN = float("nan")
@@ -283,19 +285,20 @@ class TestSharedArrays:
 
 class TestPinnedResults:
     # pivots and objective bits of three AWGN decoding LPs per code, as the
-    # entry-by-entry activity pass computed them before pricing went by block
+    # entry-by-entry activity pass computed them before pricing went by block;
+    # the chain's are those of its solve from the crash at the hard decision
     PINNED = {
         ("gallager-120-3-12", "feldman"): [(5, "0x0.0p+0"), (6, "0x0.0p+0"), (12, "0x0.0p+0")],
-        ("gallager-120-3-12", "decomposed"): [(50, "0x0.0p+0"), (60, "0x0.0p+0"),
-                                              (114, "0x0.0p+0")],
+        ("gallager-120-3-12", "decomposed"): [(23, "0x0.0p+0"), (29, "0x0.0p+0"),
+                                              (44, "0x0.0p+0")],
         ("gallager-204-3-6", "feldman"): [(63, "0x0.0p+0"), (90, "-0x1.2b964e8b3d00bp-48"),
                                           (65, "0x0.0p+0")],
-        ("gallager-204-3-6", "decomposed"): [(243, "0x0.0p+0"), (294, "-0x1.1346875dbe66ep-48"),
-                                             (250, "-0x1.1e5dcaac3a748p-56")],
+        ("gallager-204-3-6", "decomposed"): [(131, "0x0.0p+0"), (203, "0x1.4745888f108ffp-49"),
+                                             (163, "0x1.926722248ff3cp-54")],
         ("interleaved", "feldman"): [(30, "0x0.0p+0"), (42, "-0x1.2c48c3e4738b8p-54"),
                                      (156, "-0x1.77f377653a42ep-1")],
-        ("interleaved", "decomposed"): [(120, "0x0.0p+0"), (145, "0x1.a8db72a5984a8p-51"),
-                                        (502, "-0x1.77f377653a3f2p-1")],
+        ("interleaved", "decomposed"): [(92, "0x0.0p+0"), (109, "0x0.0p+0"),
+                                        (387, "-0x1.77f377653a405p-1")],
     }
     CODES = {"gallager-120-3-12": (lambda: gallager(120, 3, 12, 1), 0.6),
              "gallager-204-3-6": (lambda: gallager(204, 3, 6, 1), 0.8),
@@ -529,3 +532,101 @@ class TestIsIntegral:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             is_integral((0.0,), 0.5)
+
+
+def crash_by_pivots(T, nonbasic, cs, crash):
+    """The crash as one `_pivot` per variable in level order, each row built as
+    the dual loop builds it."""
+    n = T.shape[0] - 1
+    for variables, rows in crash:
+        for z, r in zip(variables.tolist(), rows.tolist()):
+            s, e = cs.indptr[r], cs.indptr[r + 1]
+            row = cs.vals[s:e] @ T[cs.cols[s:e]]
+            np.negative(row, out=row)
+            row[-1] += cs.b[r]
+            lpsolver._pivot(T, row, z)
+            nonbasic[z] = n + r
+
+
+def started(lp):
+    """The tableau and active set a solve of lp starts from, before its crash."""
+    lo, up = lp.resolved_bounds()
+    T, nonbasic, _ = lpsolver._start(np.asarray(lp.objective, dtype=float), lo, up)
+    return T, nonbasic
+
+
+class TestCrash:
+    CODES = {"ldpc-48-24": lambda: builtin_code("ldpc-48-24"),
+             "interleaved": interleaved_code,
+             "gallager-120-3-12": lambda: gallager(120, 3, 12, 1),
+             # short checks first, so the chain's supports are not where H's are
+             "random-with-short-checks": lambda: ParityCheckMatrix(n=25, rows=(
+                 (3,), (0, 7), *random_matrix(np.random.default_rng(3), 12, 4, 12).rows))}
+
+    @pytest.mark.parametrize("code", list(CODES))
+    def test_one_step_per_level_is_one_pivot_per_variable(self, code):
+        H = self.CODES[code]()
+        for t in range(3):
+            lp = build_program(H, sample_gamma(H.n, 22, t), "decomposed")
+            assert lp.crash
+            T, nonbasic = started(lp)
+            T_seq, nonbasic_seq = T.copy(), nonbasic.copy()
+            lpsolver._crash(T, nonbasic, lp.constraints, lp.objective, lp.crash)
+            crash_by_pivots(T_seq, nonbasic_seq, lp.constraints, lp.crash)
+            assert np.array_equal(T, T_seq)
+            assert np.array_equal(nonbasic, nonbasic_seq)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["uniform", "awgn", "bsc"]))
+    def test_crash_keeps_the_optimum(self, seed, costs):
+        H = random_matrix(np.random.default_rng(seed), max_checks=10, min_degree=1, max_degree=12)
+        if costs == "uniform":
+            gamma = sample_gamma(H.n, seed, 0)
+        else:
+            ch = Awgn(0.8) if costs == "awgn" else Bsc(0.1)
+            gamma = llr_costs(transmit(np.zeros(H.n, dtype=int), ch, seed), ch)
+        lp = build_program(H, gamma, "decomposed")
+        crashed = solve(lp)
+        plain = solve(LinearProgram(lp.objective, lp.constraints))
+        feldman = solve(build_program(H, gamma, "feldman"))
+        assert crashed.status == plain.status == feldman.status == "optimal"
+        assert abs(crashed.objective_value - plain.objective_value) <= 1e-9
+        assert abs(crashed.objective_value - feldman.objective_value) <= 1e-7
+
+    def test_iterations_count_only_the_dual_loop(self):
+        H = builtin_code("ldpc-48-24")
+        lp = build_program(H, sample_gamma(H.n, 1, 0), "decomposed")
+        trace = []
+        sol = solve(lp, trace=trace.append)
+        assert [e.iteration for e in trace] == list(range(sol.iterations))
+        assert sol.iterations < solve(LinearProgram(lp.objective, lp.constraints)).iterations
+
+    @pytest.fixture
+    def lp(self):
+        H = builtin_code("ldpc-48-24")
+        lp = build_program(H, sample_gamma(H.n, 1, 0), "decomposed")
+        assert len(lp.crash) == 2 and all(len(z) > 1 for z, _ in lp.crash)
+        return lp
+
+    def test_crash_variable_with_a_cost(self, lp):
+        objective = lp.objective.copy()
+        objective[lp.crash[1][0][0]] = 0.5
+        with pytest.raises(SolverError, match="cost 0"):
+            solve(dataclasses.replace(lp, objective=objective))
+
+    def test_crash_variable_listed_twice(self, lp):
+        (z, rows), _ = lp.crash
+        for crash in (((np.r_[z, z[:1]], np.r_[rows, rows[:1]]),),  # in one level
+                      ((z, rows), (z[:1], rows[:1]))):  # in two
+            with pytest.raises(SolverError):
+                solve(dataclasses.replace(lp, crash=crash))
+
+    def test_crash_row_without_its_variable(self, lp):
+        (z, rows), _ = lp.crash
+        with pytest.raises(SolverError, match="must hold it"):
+            solve(dataclasses.replace(lp, crash=((z, rows[::-1]),)))
+
+    @pytest.mark.parametrize("z, row", [(-1, 0), (0, -1), (10 ** 6, 0), (0, 10 ** 6)])
+    def test_crash_index_out_of_range(self, lp, z, row):
+        with pytest.raises(SolverError, match="pairs each"):
+            solve(dataclasses.replace(lp, crash=((np.array([z]), np.array([row])),)))

@@ -265,6 +265,27 @@ def assert_blocks_expand(cs):
         assert np.array_equal(activity, A @ x)
 
 
+class TestByRow:
+    @pytest.mark.parametrize("cs", [
+        decomposed_system(decompose(builtin_code("ldpc-48-24")), 48),  # one length: views
+        feldman_system(interleaved_code(), include_boxes=True),
+        relaxation.ConstraintSystem(3, np.array([0, 2, 2, 3]), np.array([0, 2, 1]),
+                                    np.array([1.0, -2.0, 3.0]),
+                                    np.array([1.0, 0.5, 2.0])),  # an empty row
+    ], ids=["chain", "boxed-feldman", "empty-row"])
+    def test_rows_padded_with_zeros(self, cs):
+        # each row of the tables is the row of A, then its last column again
+        # with value 0, and the tables are read-only
+        cols, vals = cs.by_row
+        assert cols.shape == vals.shape == (cs.b.size, np.diff(cs.indptr).max())
+        for i, (s, e) in enumerate(zip(cs.indptr, cs.indptr[1:])):
+            assert cols[i, :e - s].tolist() == cs.cols[s:e].tolist()
+            assert vals[i, :e - s].tolist() == cs.vals[s:e].tolist()
+            assert not vals[i, e - s:].any()
+            assert e == s or (cols[i, e - s:] == cs.cols[e - 1]).all()
+        assert not cols.flags.writeable and not vals.flags.writeable
+
+
 class TestDecompose:
     def test_degree3_identity(self):
         H = from_dense([[0, 1, 1, 1]])
