@@ -5,12 +5,12 @@ A code's decoding LP differs from decode to decode only in its costs, so each
 bounded cache, and shared by every decode of that code.  A decode whose hard
 decision already satisfies every check returns it without solving: it attains
 the lower bound sum(min(gamma_i, 0)) of both relaxations, so it is their
-optimum and the ML codeword.  Otherwise a chain LP carries a crash: the
-auxiliaries of every check whose hard decision has a one start basic at their
-parity (`relaxation.chain_crash` plans it once per code, `build_program`
-picks its rows from the hard decision), so the solve still starts at the hard
-decision, with fewer pivots to make.  A decode returns a plain
-`DecodeOutcome`; `cli` writes it.
+optimum and the ML codeword.  Otherwise a chain LP carries the code's crash
+table (`relaxation.chain_crash`, built once per code when its first chain LP
+is assembled): the solve starts the auxiliaries of every check whose hard
+decision has a one basic at their parity, still at the hard decision, with
+fewer pivots to make.  A decode returns a plain `DecodeOutcome`; `cli`
+writes it.
 """
 
 from __future__ import annotations
@@ -102,47 +102,20 @@ def _checked_system(H: ParityCheckMatrix, gamma: CostVector,
     return _compiled_system(H, formulation)
 
 
-# a chain LP's crash plan, built once per code, and only once a chain LP is assembled
-_crash_plan = functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)(chain_crash)
+# a chain LP's crash table, built once per system, and only once a chain LP is assembled
+_crash_table = functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)(chain_crash)
 
 
-def _chain_crash(H: ParityCheckMatrix, hard: np.ndarray,
-                 ones: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The chain LP's crash at the hard decision `hard`, whose checks hold `ones` ones.
-
-    Every auxiliary of a check with a one enters at its parity, level by
-    level; a check with none keeps its auxiliaries at 0, which is their
-    parity too.
-    """
-    bit = hard.view(np.int8)
-    crash = []
-    for level in _crash_plan(H):
-        picked = ones[level.check].nonzero()[0]
-        if not picked.size:
-            break  # a level's checks all have auxiliaries on the level below
-        values = bit[level.bits[picked]]  # the bits whose parity each one takes, m last
-        # its triple's end e holds the parity of all but m, one bit on level 1
-        e = values[:, 0] if values.shape[1] == 2 else values[:, :-1].sum(1) & 1
-        crash.append((level.aux[picked], level.rows[picked, e, values[:, -1]]))
-    return tuple(crash)
-
-
-def build_program(H: ParityCheckMatrix, gamma: CostVector, formulation: str,
-                  hard: tuple[np.ndarray, np.ndarray] | None = None) -> lpsolver.LinearProgram:
+def build_program(H: ParityCheckMatrix, gamma: CostVector,
+                  formulation: str) -> lpsolver.LinearProgram:
     """Attach the costs to the code's compiled system; auxiliary costs are 0.
 
-    A chain LP also gets its crash at the hard decision (see `_chain_crash`).
-    `hard`, the hard decision and each check's count of ones in it, saves
-    computing them again.
+    A chain LP with auxiliaries also gets the code's crash table (see
+    `relaxation.chain_crash`).
     """
     cs = _checked_system(H, gamma, formulation)
     objective = np.concatenate([gamma.gammas, np.zeros(cs.num_vars - H.n)])
-    crash = ()
-    if cs.num_vars > H.n:  # a chain LP with auxiliaries
-        if hard is None:
-            bits = gamma.gammas < 0.0
-            hard = bits, _check_ones(H, bits)
-        crash = _chain_crash(H, *hard)
+    crash = _crash_table(H, cs) if cs.num_vars > H.n else None
     return lpsolver.LinearProgram(objective=objective, constraints=cs, crash=crash)
 
 
@@ -174,7 +147,7 @@ def decode(H: ParityCheckMatrix, gamma: CostVector,
             iterations=0,
             wall_clock_ns=elapsed,
         )
-    lp = build_program(H, gamma, formulation, (hard, ones))
+    lp = build_program(H, gamma, formulation)
     sol = lpsolver.solve(lp)
     elapsed = time.monotonic_ns() - t0
     if sol.status != "optimal":

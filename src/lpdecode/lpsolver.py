@@ -13,21 +13,20 @@ holds the reduced costs, which are the active constraints' dual values.
 A solve starts at the box corner each cost favours: x_j at up_j if c_j < 0,
 else at lo_j, with that box row active.  Every reduced cost is then |c_j|, so
 the start is dual feasible (for a decoding LP it is the hard decision), and
-Lemke's dual simplex only has to repair the constraints it violates.  An LP
-may carry a crash (Bixby, 1992): levels of zero-cost variables, each to be
-made basic through a given row of A in place of its box row.  `solve` makes
-those exchanges first, one vectorised step per level, and checks that each is
-a unit-column pivot by +-1, so the point, the objective row and dual
-feasibility are unchanged.  A chain LP starts auxiliaries this way at the hard
-decision's parities, so the dual loop spends no pivot on swapping their box
-rows for rows of their triples.  Each dual pivot computes the violation of
-every constraint, takes the most violated one and builds only that
-constraint's tableau row.  The
-ratio test picks the active constraint it replaces, and a rank-1 update of the
-n+1 rows makes the exchange; it touches only the rows whose entry in the pivot
-column is nonzero while fewer than half of them are.  The loop ends at an
-optimum or proves the LP infeasible, and `solve` checks that no reduced cost
-went negative on the way.
+Lemke's dual simplex only has to repair the constraints it violates.  A chain
+LP may carry a crash (Bixby, 1992), `relaxation.ChainCrash`: the auxiliaries
+of each check with a one at the start are made basic at their parity, each
+through its triple's row that is tight there, in place of its box row.  The
+table gives their tableau rows in closed form, so one scatter writes them
+however long the chains are; the point, the objective row and dual
+feasibility are unchanged, and the dual loop spends no pivot on swapping
+their box rows for rows of their triples.  Each dual pivot computes the
+violation of every constraint, takes the most violated one and builds only
+that constraint's tableau row.  The ratio test picks the active constraint it
+replaces, and a rank-1 update of the n+1 rows makes the exchange; it touches
+only the rows whose entry in the pivot column is nonzero while fewer than half
+of them are.  The loop ends at an optimum or proves the LP infeasible, and
+`solve` checks that no reduced cost went negative on the way.
 
 The dual loop falls back to Bland's rule after STALL_LIMIT pivots that make
 no progress.  Remaining ties break by lowest index, so the result is
@@ -38,8 +37,7 @@ The rows of A are priced by `ConstraintSystem.blocks`: all the checks of one
 degree share one sign pattern, so one gather of x over their supports and one
 matrix product give their rows' activities, each summed over its support in
 column order, as an entry-by-entry pass would.  The entering row is built from
-A's stored nonzeros, or is +-T[j] for a box row; the crash reads its rows from
-`ConstraintSystem.by_row`.  The system holds its arrays
+A's stored nonzeros, or is +-T[j] for a box row.  The system holds its arrays
 read-only and shares them with every solve of it, and `solve` never writes
 them.
 """
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relaxation import ConstraintSystem
+from .relaxation import ChainCrash, ConstraintSystem, RelaxationError
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -75,8 +73,9 @@ class LinearProgram:
     objective: np.ndarray | Sequence[float]  # one cost per variable
     constraints: ConstraintSystem
     bounds: list[tuple[float, float]] | None = None  # default (0, 1) per variable
-    # levels of (variables, rows) that `solve` makes basic before its dual loop
-    crash: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    # a chain LP's crash table: before its dual loop, `solve` makes the auxiliaries
+    # of each check with a one at its start basic at their parity (see `_crash`)
+    crash: ChainCrash | None = None
 
     def resolved_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds as float arrays; (0, 1) per variable by default."""
@@ -141,54 +140,27 @@ def _start(c: np.ndarray, lo: np.ndarray,
     return T, np.arange(n), high
 
 
-def _crash(T: np.ndarray, nonbasic: np.ndarray, cs: ConstraintSystem, c: np.ndarray,
-           crash: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
-    """Make each crash variable basic through its row, one level at a time.
+def _crash(T: np.ndarray, nonbasic: np.ndarray, x: np.ndarray, cs: ConstraintSystem,
+           c: np.ndarray, crash: ChainCrash) -> None:
+    """Make the auxiliaries of each check with a one at the 0/1 start x basic at
+    their parity, each through its triple's row that is tight there.
 
-    A level (variables, rows) makes variables[i] basic in place of its box
-    row, with the row of A rows[i] active instead.  That is what `_pivot` does
-    with that row's slack, one variable after another, but in one step per
-    level, because no pivot of a level can see another: each variable must
-    cost 0 and keep the unit column it started with, which no earlier crash
-    row reached, so only its own row changes; and each row must hold its own
-    variable with coefficient +-1 and no other variable of its level.
-    Anything else raises SolverError.
+    `crash.start` gives their tableau rows in closed form; each auxiliary's
+    row and column held only its unit entry, so nothing else changes.  A
+    crash variable with a cost, or a table that does not fit cs, raises
+    SolverError.
     """
-    n = T.shape[0] - 1
-    reached: set[int] = set()  # the columns earlier crash pivots changed
-    for level_index, (variables, rows) in enumerate(crash, 1):
-        z = np.asarray(variables, dtype=np.intp)
-        rows = np.asarray(rows, dtype=np.intp)
-        zl, rl = z.tolist(), rows.tolist()
-        if z.ndim != 1 or rows.shape != z.shape or (zl and not (
-                0 <= min(zl) and max(zl) < n and 0 <= min(rl) and max(rl) < cs.b.size)):
-            raise SolverError("a crash level pairs each of its variables with a row of A")
-        if not zl:
-            continue
-        level = set(zl)
-        if len(level) < len(zl) or not reached.isdisjoint(level) or np.count_nonzero(c[z]):
-            raise SolverError(f"crash variables {zl} must each appear once, cost 0 and keep "
-                              "the unit column they start with")
-        cols, vals = (a[rows] for a in cs.by_row)
-        # each row's activity minus its rhs, in the active slacks: minus its
-        # slack's tableau row, as the dual loop builds that
-        act = (vals[:, None] @ T[cols])[:, 0]
-        # on the level's unit columns it is minus each row's coefficients there
-        block = act[:, z]
-        pivots = -block.diagonal()
-        if np.count_nonzero(block) != z.size or not set(pivots.tolist()) <= {1.0, -1.0}:
-            raise SolverError("each crash row must hold its own variable with coefficient +-1 "
-                              "and no other variable of its level")
-        if level_index < len(crash):
-            reached.update(cols.ravel().tolist())
-        act[:, -1] -= cs.b[rows]
-        # `_pivot`'s update: column z is -e_z, so only row z changes, by its
-        # slack's row over the pivot, and its entry in column z becomes 1 /
-        # pivot, which is the pivot; all of it exact
-        act *= pivots[:, None]
-        T[z] -= act
-        T[z, z] = pivots
-        nonbasic[z] = rows + n
+    if np.count_nonzero(c[crash.aux]):
+        raise SolverError("crash variables must cost 0")
+    if crash.system is not cs:
+        try:
+            crash.verify(cs)
+        except RelaxationError as err:
+            raise SolverError(f"the crash table does not fit this LP: {err}") from None
+    z, rows, p, at, coef = crash.start(x)
+    T[at] = coef
+    T[z, -1] = p
+    nonbasic[z] = rows + cs.num_vars
 
 
 STALL_LIMIT = 1000  # dual pivots without progress before switching to Bland's rule
@@ -319,9 +291,11 @@ def _run_dual_simplex(T: np.ndarray, nonbasic: np.ndarray, at_up: np.ndarray,
 def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
     """Solve the program, returning an optimal vertex or infeasible.
 
-    The LP's crash, if any, is applied first (see `_crash`; a bad one raises
-    SolverError).  `iterations` and `trace`, which, if given, is called with a
-    `TraceEvent` for every pivot, cover the dual loop's pivots only.
+    The LP's crash, if any, is applied first (see `_crash`).  It needs the
+    default 0/1 bounds; a crash variable with a cost, other bounds or a table
+    that does not fit the LP's system raise SolverError.  `iterations` and
+    `trace`, which, if given, is called with a `TraceEvent` for every pivot,
+    cover the dual loop's pivots only.
     """
     cs = lp.constraints
     n = cs.num_vars
@@ -332,8 +306,10 @@ def solve(lp: LinearProgram, trace: TraceCallback | None = None) -> LpSolution:
         raise DimensionError("objective has a non-finite cost")
     lo, up = lp.resolved_bounds()
     T, nonbasic, high = _start(c, lo, up)
-    if lp.crash:
-        _crash(T, nonbasic, cs, c, lp.crash)
+    if lp.crash is not None:
+        if lp.bounds is not None:
+            raise SolverError("a crash needs the default 0/1 bounds")
+        _crash(T, nonbasic, high, cs, c, lp.crash)
 
     iters, status = _run_dual_simplex(T, nonbasic, high, cs, lo, up, trace)
     if status == "infeasible":

@@ -9,16 +9,17 @@ The chain reformulation is itself a code: `decompose` rewrites each degree-d
 check (d >= 4) as d-2 degree-3 checks linked by d-3 auxiliary variables, and
 the chain relaxation is Feldman's system of that code.  It needs only
 4*(d-2) rows per check, and the 0/1 box bounds become implied for every
-variable covered by a degree-3 check.  `chain_crash` plans, once per code,
-how a chain LP's auxiliaries enter the basis at a hard decision's parities.
+variable covered by a degree-3 check.  `chain_crash` builds, once per code,
+the table from which a solve writes, in closed form, the tableau rows of a
+chain LP's auxiliaries made basic at a 0/1 start's parities.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -74,8 +75,7 @@ class ConstraintSystem:
     check-major, `x[supports] @ signs`, with `supports` k x d and `signs`
     d x p.  A system given no blocks gets one per row, with that row's `vals`
     as its signs.  The arrays are made read-only, so every solve can share
-    them.  `rows` views them as `Row`s, and `by_row`, built on first use,
-    holds each row's entries in one row of two arrays.
+    them.  `rows` views them as `Row`s.
     """
 
     num_vars: int
@@ -96,20 +96,6 @@ class ConstraintSystem:
     @property
     def rows(self) -> Sequence[Row]:
         return _Rows(self)
-
-    @cached_property
-    def by_row(self) -> tuple[np.ndarray, np.ndarray]:
-        """`cols` and `vals` as read-only m x w arrays, w the length of the
-        longest row: row i's entries, then its last column again with value 0."""
-        width = np.diff(self.indptr)
-        w = int(width.max(initial=0))
-        if w * width.size == self.vals.size:  # every row has w entries: views
-            return self.cols.reshape(width.size, w), self.vals.reshape(width.size, w)
-        last = np.maximum(self.indptr[1:, None] - 1, 0)
-        at = np.minimum(self.indptr[:-1, None] + np.arange(w), last)
-        cols, vals = self.cols[at], np.where(np.arange(w) < width[:, None], self.vals[at], 0.0)
-        cols.flags.writeable = vals.flags.writeable = False
-        return cols, vals
 
     def dense(self):
         """Dense (A, b) as float lists, for golden comparisons."""
@@ -240,63 +226,122 @@ def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:
     return ParityCheckMatrix(n=n, rows=(*triples, *short))
 
 
-@dataclass(frozen=True)
-class CrashLevel:
-    """One level of a chain LP's crash plan: the auxiliaries it makes basic.
+# the coefficients of a triple's end e, middle m and auxiliary z in its row that
+# is tight where z and m take the first two indices (and e = z xor m): the odd
+# subset {e if e = 1} + {m if m = 1} + {z if z = 0}
+_TIGHT = np.array([[[2 * (z ^ m) - 1, 2 * m - 1, 1 - 2 * z] for m in (0, 1)] for z in (0, 1)])
+_TIGHT.flags.writeable = False
 
-    Auxiliary i takes the parity of the bits `bits[i]` of its check, which
-    end with its triple's middle bit m; the bits before m are its triple's
-    end e, an original bit on level 1 and an auxiliary of the level below
-    otherwise.  `rows[i, e, m]` is the row of that triple that is tight at
-    those values of e and m.
+
+@dataclass(frozen=True, eq=False)
+class ChainCrash:
+    """How each auxiliary z of a chain LP enters the basis at a 0/1 start.
+
+    z is crashed from one end of its chain (see `chain_crash`): P are the bits
+    from that end through its triple's middle bit m, and Q the auxiliaries
+    from that end to z, z last.  At a start with every auxiliary at 0, z takes
+    the parity p of P.  Making each auxiliary of Q basic in turn, through its
+    triple's row that is tight there, leaves z's tableau row (a rhs minus
+    coefficients times the active constraints' slacks) with 2p-1 in the
+    columns of P, 1-2p in those of Q, p as its rhs and nothing else.
+
+    The arrays are read-only.  `verify` checks the table against `system`
+    when it is built, and against any other system a solve hands it.
     """
 
-    check: np.ndarray  # each auxiliary's check
-    aux: np.ndarray  # its variable
-    bits: np.ndarray  # (A, level + 1) the original bits whose parity it takes, m last
-    rows: np.ndarray  # (A, 2, 2) its crash row by the values of e and m
+    system: ConstraintSystem  # the chain system it was built for
+    support: np.ndarray  # the bits of each check with auxiliaries, check after check
+    first: np.ndarray  # where each such check starts in `support`
+    check: np.ndarray  # (A,) each auxiliary's check, numbered among those
+    aux: np.ndarray  # (A,) its variable z
+    end: np.ndarray  # (A,) its triple's end e
+    middle: np.ndarray  # (A,) its triple's middle bit m, the last of P
+    rows: np.ndarray  # (A, 2, 2) its triple's row tight where z and m take those values
+    cols: np.ndarray  # P, then Q, of each auxiliary in turn
+    starts: np.ndarray  # (A,) where each auxiliary's P starts in `cols`
+    owner: np.ndarray  # each entry's auxiliary, an index into `aux`
+    signs: np.ndarray  # each entry's sign, 1 in P and -1 in Q
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        self.verify(self.system)
+
+    def verify(self, cs: ConstraintSystem) -> None:
+        """Raise RelaxationError unless the table fits the chain system cs: every
+        index in range, no auxiliary listed twice, and each candidate row the
+        row of its triple alone that is tight at its values."""
+        n, m = cs.num_vars, cs.b.size
+        if any(a.size and (a.min() < 0 or a.max() >= bound) for a, bound in (
+                (self.support, n), (self.aux, n), (self.end, n), (self.middle, n),
+                (self.cols, n), (self.rows, m))):
+            raise RelaxationError(f"crash table index out of range for {n} variables "
+                                  f"and {m} rows")
+        # not np.unique, which imports numpy.ma: 1.7 MB of resident memory
+        if np.bincount(self.aux).max(initial=0) > 1:
+            raise RelaxationError("crash table lists an auxiliary twice")
+        triple = np.stack([self.end, self.middle, self.aux], 1)
+        order = np.argsort(triple, 1)[:, None, None]
+        want = np.take_along_axis(np.broadcast_to(_TIGHT, (self.aux.size, 2, 2, 3)), order, 3)
+        at = cs.indptr[self.rows][..., None] + np.arange(3)
+        if ((np.diff(cs.indptr)[self.rows] != 3).any()
+                or (cs.cols[at] != np.sort(triple, 1)[:, None, None]).any()
+                or (cs.vals[at] != want).any() or (cs.b[self.rows] != (want > 0).sum(3) - 1).any()):
+            raise RelaxationError("each crash row must hold its auxiliary with its triple's "
+                                  "end and middle bit, tight at their values")
+
+    def start(self, x: np.ndarray):
+        """The crash at the start x, a boolean per variable, with every auxiliary
+        False: the auxiliaries of each check with a one in x, the row each
+        enters through, its parity p, and the entries of their tableau rows,
+        as (rows, columns) of the tableau and values."""
+        x = x.view(np.int8)
+        picked = np.logical_or.reduceat(x[self.support], self.first)[self.check]
+        p = np.logical_xor.reduceat(x[self.cols], self.starts).view(np.int8)  # Q's are 0
+        on = picked[self.owner]
+        owner = self.owner[on]
+        z, p_z = self.aux[picked], p[picked]
+        return (z, self.rows[picked, p_z, x[self.middle[picked]]], p_z,
+                (self.aux[owner], self.cols[on]), np.where(p, 1.0, -1.0)[owner] * self.signs[on])
 
 
-def chain_crash(H: ParityCheckMatrix) -> tuple[CrashLevel, ...]:
-    """Where each auxiliary of decompose(H) enters the basis at a 0/1 word's parity point.
+def chain_crash(H: ParityCheckMatrix, cs: ConstraintSystem) -> ChainCrash:
+    """The crash table of H's chain LP, whose system cs is Feldman's of decompose(H).
 
     A check of degree d has the auxiliaries z_1..z_k, k = d-3.  With q <=
-    ceil(k/2), z_q takes the parity of the check's first q+1 bits and enters
-    through triple q-1, on level q; otherwise it takes the parity of the last
-    d-q-1 bits and enters through triple q, on level k-q+1.  Either way the
-    triple is (end e, middle m, z) with z = e xor m, and its row that is tight
-    there has S = {e if e = 1} + {m if m = 1} + {z if z = 0}.  A level reads
-    only the rows of auxiliaries of the levels below it, and triple t is the
-    rows 4t..4t+3 of the chain system.  Every check with auxiliaries has one on
-    level 1.
+    ceil(k/2), z_q is crashed from the chain's first end: P is the check's
+    bits 0..q, Q is z_1..z_q, and its triple is triple q-1.  Otherwise it is
+    crashed from the last end: P is bits d-1..q+1, Q is z_k..z_q, and its
+    triple is triple q.  Triple t of the chain is the rows 4t..4t+3 of cs.
     """
-    signs = _check_pattern(3)[0]
-    row_of = {frozenset(np.flatnonzero(r > 0).tolist()): i for i, r in enumerate(signs)}
-    levels: dict[int, list] = {}
+    row_of = {tuple(r): i for i, r in enumerate(_check_pattern(3)[0].tolist())}
+    table = {f.name: [] for f in fields(ChainCrash)[1:]}  # all but `system`
     triple = 0  # the check's first triple
-    for j, support, ends in _chains(H):
-        d = len(support)
-        k = d - 3
+    for _, support, ends in _chains(H):
+        k = len(support) - 3
+        if k:
+            table["first"].append(len(table["support"]))
+            table["support"] += support
         for q in range(1, k + 1):
-            if q <= (k + 1) // 2:  # from the left: e holds bits 0..q-1, and m is bit q
-                level, t, e, bits = q, q - 1, ends[q - 1], support[:q + 1]
-            else:  # from the right: m is bit q+1, and e holds the bits after it
-                level, t, e, bits = k - q + 1, q, ends[q + 1], (*support[q + 2:], support[q + 1])
-            z, m = ends[q], bits[-1]
-            order = sorted((ends[t], support[t + 1], ends[t + 1]))
-            rows = [[0, 0], [0, 0]]
-            for u, w in itertools.product((0, 1), repeat=2):
-                S = [v for v, one in ((e, u), (m, w), (z, 1 - (u ^ w))) if one]
-                rows[u][w] = 4 * (triple + t) + row_of[frozenset(map(order.index, S))]
-            levels.setdefault(level, []).append((j, z, bits, rows))
-        triple += d - 2
-    plan = []
-    for level in sorted(levels):
-        check, aux, bits, rows = (np.array(c, dtype=np.intp) for c in zip(*levels[level]))
-        for a in (check, aux, bits, rows):
-            a.flags.writeable = False
-        plan.append(CrashLevel(check, aux, bits, rows))
-    return tuple(plan)
+            if q <= (k + 1) // 2:
+                t, e, P, Q = q - 1, ends[q - 1], support[:q + 1], ends[1:q + 1]
+            else:
+                t, e, P, Q = q, ends[q + 1], support[:q:-1], ends[k:q - 1:-1]
+            order = np.argsort((e, P[-1], ends[q]))
+            row = [[4 * (triple + t) + row_of[tuple(_TIGHT[z, m, order].tolist())]
+                    for m in (0, 1)] for z in (0, 1)]
+            for name, value in (("check", len(table["first"]) - 1), ("aux", ends[q]),
+                                ("end", e), ("middle", P[-1]), ("rows", row),
+                                ("starts", len(table["cols"]))):
+                table[name].append(value)
+            table["owner"] += [len(table["aux"]) - 1] * (len(P) + len(Q))
+            table["signs"] += [1] * len(P) + [-1] * len(Q)
+            table["cols"] += (*P, *Q)
+        triple += k + 1
+    arrays = {name: np.array(a, dtype=np.intp) for name, a in table.items()}
+    arrays["rows"] = arrays["rows"].reshape(-1, 2, 2)
+    return ChainCrash(cs, **arrays)
 
 
 def decomposed_system(D: ParityCheckMatrix, n_original: int) -> ConstraintSystem:

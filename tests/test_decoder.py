@@ -220,22 +220,35 @@ class TestChainCrash:
         first = itertools.accumulate((max(len(r) - 3, 0) for r in H.rows), initial=H.n)
         return [set(range(a, a + max(len(r) - 3, 0))) for a, r in zip(first, H.rows)]
 
+    @staticmethod
+    def crashed_start(lp):
+        """The tableau and active set a solve of lp starts its dual loop from, and
+        the variables its crash made basic."""
+        T, nonbasic, high = lpsolver._start(lp.objective, *lp.resolved_bounds())
+        if lp.crash is not None:
+            lpsolver._crash(T, nonbasic, high, lp.constraints, lp.objective, lp.crash)
+        return T, nonbasic, np.flatnonzero(nonbasic != np.arange(nonbasic.size))
+
     def test_only_checks_with_a_one_are_crashed(self):
         H = builtin_code("ldpc-48-24")
         for j in (0, 17, 47):
             gammas = np.ones(H.n)
             gammas[j] = -1.0
-            lp = build_program(H, CostVector(gammas=gammas), "decomposed")
-            crashed = set(np.concatenate([z for z, _ in lp.crash]).tolist())
+            _, _, crashed = self.crashed_start(
+                build_program(H, CostVector(gammas=gammas), "decomposed"))
             expected = set().union(*(aux for row, aux in zip(H.rows, self.auxiliaries(H))
                                      if j in row))
-            assert crashed == expected and len(crashed) == 3 * 3
+            assert set(crashed.tolist()) == expected and len(expected) == 3 * 3
 
     def test_all_zero_hard_decision_and_feldman_get_none(self):
         H = builtin_code("ldpc-48-24")
-        assert build_program(H, CostVector(gammas=np.ones(H.n)), "decomposed").crash == ()
-        assert build_program(H, sample_gamma(H.n, 1, 0), "feldman").crash == ()
-        assert build_program(HAMMING, sample_gamma(7, 1, 0), "feldman").crash == ()
+        lp = build_program(H, CostVector(gammas=np.ones(H.n)), "decomposed")
+        T, nonbasic, crashed = self.crashed_start(lp)
+        T0, nonbasic0, _ = lpsolver._start(lp.objective, *lp.resolved_bounds())
+        assert lp.crash is not None and crashed.size == 0
+        assert np.array_equal(T, T0) and np.array_equal(nonbasic, nonbasic0)
+        assert build_program(H, sample_gamma(H.n, 1, 0), "feldman").crash is None
+        assert build_program(HAMMING, sample_gamma(7, 1, 0), "feldman").crash is None
 
     @pytest.mark.parametrize("name", ["hamming-7-4", "ldpc-48-24"])
     def test_crash_starts_at_the_hard_decision(self, name):
@@ -246,16 +259,14 @@ class TestChainCrash:
             gamma = sample_gamma(H.n, 8, t)
             lp = build_program(H, gamma, "decomposed")
             cs = lp.constraints
-            lo, up = lp.resolved_bounds()
-            T, nonbasic, _ = lpsolver._start(lp.objective, lo, up)
-            lpsolver._crash(T, nonbasic, cs, lp.objective, lp.crash)
+            T, nonbasic, crashed = self.crashed_start(lp)
             x = T[:-1, -1]
+            assert crashed.size and (crashed >= H.n).all()
             assert np.array_equal(x[:H.n], gamma.gammas < 0)
             assert set(x[H.n:].tolist()) <= {0.0, 1.0}
             A, b = (np.asarray(v) for v in cs.dense())
-            rows = np.concatenate([r for _, r in lp.crash])
+            rows = nonbasic[crashed] - cs.num_vars
             assert np.array_equal(A[rows] @ x, b[rows])
-            crashed = np.concatenate([z for z, _ in lp.crash])
             assert not x[np.setdiff1d(np.arange(H.n, cs.num_vars), crashed)].any()
 
 

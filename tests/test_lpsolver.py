@@ -11,7 +11,7 @@ from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense, gallager
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
                                SolverError, is_integral, solve)
-from lpdecode.relaxation import ConstraintSystem, feldman_system
+from lpdecode.relaxation import ConstraintSystem, RelaxationError, feldman_system
 from lpdecode.simulate import sample_gamma
 
 from conftest import enumerate_vertices, interleaved_code, random_matrix
@@ -549,16 +549,48 @@ def crash_by_pivots(T, nonbasic, cs, crash):
 
 
 def started(lp):
-    """The tableau and active set a solve of lp starts from, before its crash."""
+    """The tableau, the active set and the 0/1 point a solve of lp starts from,
+    before its crash."""
     lo, up = lp.resolved_bounds()
-    T, nonbasic, _ = lpsolver._start(np.asarray(lp.objective, dtype=float), lo, up)
-    return T, nonbasic
+    return lpsolver._start(np.asarray(lp.objective, dtype=float), lo, up)
+
+
+def crash_levels(table, nonbasic):
+    """The auxiliaries a crash made basic, with their rows, as levels of
+    (variables, rows): an auxiliary's level is its count of Q, so the
+    auxiliaries it needs basic first are on the levels below it."""
+    n = nonbasic.size
+    level = np.add.reduceat(table.signs < 0, table.starts)
+    crashed = nonbasic[table.aux] != table.aux
+    return tuple((table.aux[on], nonbasic[table.aux[on]] - n)
+                 for on in (crashed & (level == q) for q in range(1, level.max(initial=0) + 1))
+                 if on.any())
+
+
+def crashed_start(lp):
+    """The tableau and active set after lp's crash, and the crash as levels."""
+    T, nonbasic, high = started(lp)
+    lpsolver._crash(T, nonbasic, high, lp.constraints, lp.objective, lp.crash)
+    return T, nonbasic, crash_levels(lp.crash, nonbasic)
+
+
+def assert_crash_is_pivots(lp):
+    """Check lp's crash against one `_pivot` per crashed variable, entry for entry;
+    return its levels."""
+    T, nonbasic, levels = crashed_start(lp)
+    T_seq, nonbasic_seq, _ = started(lp)
+    crash_by_pivots(T_seq, nonbasic_seq, lp.constraints, levels)
+    assert np.array_equal(T, T_seq)
+    assert np.array_equal(nonbasic, nonbasic_seq)
+    return levels
 
 
 class TestCrash:
     CODES = {"ldpc-48-24": lambda: builtin_code("ldpc-48-24"),
              "interleaved": interleaved_code,
              "gallager-120-3-12": lambda: gallager(120, 3, 12, 1),
+             # one degree-40 check: 37 auxiliaries on 19 levels
+             "gallager-40-1-40": lambda: gallager(40, 1, 40, 1),
              # short checks first, so the chain's supports are not where H's are
              "random-with-short-checks": lambda: ParityCheckMatrix(n=25, rows=(
                  (3,), (0, 7), *random_matrix(np.random.default_rng(3), 12, 4, 12).rows))}
@@ -567,14 +599,11 @@ class TestCrash:
     def test_one_step_per_level_is_one_pivot_per_variable(self, code):
         H = self.CODES[code]()
         for t in range(3):
-            lp = build_program(H, sample_gamma(H.n, 22, t), "decomposed")
-            assert lp.crash
-            T, nonbasic = started(lp)
-            T_seq, nonbasic_seq = T.copy(), nonbasic.copy()
-            lpsolver._crash(T, nonbasic, lp.constraints, lp.objective, lp.crash)
-            crash_by_pivots(T_seq, nonbasic_seq, lp.constraints, lp.crash)
-            assert np.array_equal(T, T_seq)
-            assert np.array_equal(nonbasic, nonbasic_seq)
+            levels = assert_crash_is_pivots(
+                build_program(H, sample_gamma(H.n, 22, t), "decomposed"))
+            assert levels
+            if code == "gallager-40-1-40":
+                assert len(levels) == 19 and sum(len(z) for z, _ in levels) == 37
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["uniform", "awgn", "bsc"]))
@@ -586,6 +615,8 @@ class TestCrash:
             ch = Awgn(0.8) if costs == "awgn" else Bsc(0.1)
             gamma = llr_costs(transmit(np.zeros(H.n, dtype=int), ch, seed), ch)
         lp = build_program(H, gamma, "decomposed")
+        if lp.crash is not None:
+            assert_crash_is_pivots(lp)
         crashed = solve(lp)
         plain = solve(LinearProgram(lp.objective, lp.constraints))
         feldman = solve(build_program(H, gamma, "feldman"))
@@ -605,28 +636,59 @@ class TestCrash:
     def lp(self):
         H = builtin_code("ldpc-48-24")
         lp = build_program(H, sample_gamma(H.n, 1, 0), "decomposed")
-        assert len(lp.crash) == 2 and all(len(z) > 1 for z, _ in lp.crash)
+        levels = crashed_start(lp)[2]
+        assert len(levels) == 2 and all(len(z) > 1 for z, _ in levels)
         return lp
 
     def test_crash_variable_with_a_cost(self, lp):
         objective = lp.objective.copy()
-        objective[lp.crash[1][0][0]] = 0.5
-        with pytest.raises(SolverError, match="cost 0"):
-            solve(dataclasses.replace(lp, objective=objective))
+        objective[crashed_start(lp)[2][1][0][0]] = 0.5  # a crashed variable of level 2
+        costly = dataclasses.replace(lp, objective=objective)
+        assert solve(lp).status == "optimal"
+        for _ in range(2):  # checked on each solve
+            with pytest.raises(SolverError, match="cost 0"):
+                solve(costly)
 
     def test_crash_variable_listed_twice(self, lp):
-        (z, rows), _ = lp.crash
-        for crash in (((np.r_[z, z[:1]], np.r_[rows, rows[:1]]),),  # in one level
-                      ((z, rows), (z[:1], rows[:1]))):  # in two
-            with pytest.raises(SolverError):
-                solve(dataclasses.replace(lp, crash=crash))
+        z = lp.crash.aux
+        for twice in (np.r_[z[:1], z[:-1]],  # within one check
+                      np.r_[z[:-1], z[:1]]):  # in two checks
+            with pytest.raises(RelaxationError, match="twice"):
+                dataclasses.replace(lp.crash, aux=twice)
 
     def test_crash_row_without_its_variable(self, lp):
-        (z, rows), _ = lp.crash
-        with pytest.raises(SolverError, match="must hold it"):
-            solve(dataclasses.replace(lp, crash=((z, rows[::-1]),)))
+        with pytest.raises(RelaxationError, match="must hold its auxiliary"):
+            dataclasses.replace(lp.crash, rows=lp.crash.rows[::-1])
 
     @pytest.mark.parametrize("z, row", [(-1, 0), (0, -1), (10 ** 6, 0), (0, 10 ** 6)])
     def test_crash_index_out_of_range(self, lp, z, row):
-        with pytest.raises(SolverError, match="pairs each"):
-            solve(dataclasses.replace(lp, crash=((np.array([z]), np.array([row])),)))
+        # put the variable z and the row `row` in the first auxiliary's place
+        aux, rows = lp.crash.aux.copy(), lp.crash.rows.copy()
+        aux[0], rows[0, 0, 0] = z, row
+        with pytest.raises(RelaxationError, match="out of range"):
+            dataclasses.replace(lp.crash, aux=aux, rows=rows)
+
+    def test_crash_table_of_another_system(self, lp):
+        # the table is checked again against any other system a solve hands it
+        cs = lp.constraints
+        same = ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b, cs.blocks)
+        assert solve(dataclasses.replace(lp, constraints=same)).point.tolist() == \
+            solve(lp).point.tolist()
+        r = lp.crash.rows[0, 0, 0]
+        b = cs.b.copy()
+        b[r] += 1.0  # the first auxiliary's candidate row is no longer tight
+        shorter = len(cs.indptr) - 1 - 4  # the last triple's rows dropped
+        for other, match in (
+                (ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, b), "tight"),
+                (ConstraintSystem(cs.num_vars, cs.indptr[:shorter + 1],
+                                  cs.cols[:cs.indptr[shorter]], cs.vals[:cs.indptr[shorter]],
+                                  cs.b[:shorter]), "out of range")):
+            with pytest.raises(SolverError, match=match):
+                solve(dataclasses.replace(lp, constraints=other))
+
+    def test_crash_with_other_bounds(self, lp):
+        # the crash's closed form assumes a 0/1 start
+        n = lp.constraints.num_vars
+        for bounds in ([(0.0, 1.0)] * n, [(-1.0, 1.0)] * n):
+            with pytest.raises(SolverError, match="bounds"):
+                solve(dataclasses.replace(lp, bounds=bounds))

@@ -265,25 +265,55 @@ def assert_blocks_expand(cs):
         assert np.array_equal(activity, A @ x)
 
 
-class TestByRow:
-    @pytest.mark.parametrize("cs", [
-        decomposed_system(decompose(builtin_code("ldpc-48-24")), 48),  # one length: views
-        feldman_system(interleaved_code(), include_boxes=True),
-        relaxation.ConstraintSystem(3, np.array([0, 2, 2, 3]), np.array([0, 2, 1]),
-                                    np.array([1.0, -2.0, 3.0]),
-                                    np.array([1.0, 0.5, 2.0])),  # an empty row
-    ], ids=["chain", "boxed-feldman", "empty-row"])
-    def test_rows_padded_with_zeros(self, cs):
-        # each row of the tables is the row of A, then its last column again
-        # with value 0, and the tables are read-only
-        cols, vals = cs.by_row
-        assert cols.shape == vals.shape == (cs.b.size, np.diff(cs.indptr).max())
-        for i, (s, e) in enumerate(zip(cs.indptr, cs.indptr[1:])):
-            assert cols[i, :e - s].tolist() == cs.cols[s:e].tolist()
-            assert vals[i, :e - s].tolist() == cs.vals[s:e].tolist()
-            assert not vals[i, e - s:].any()
-            assert e == s or (cols[i, e - s:] == cs.cols[e - 1]).all()
-        assert not cols.flags.writeable and not vals.flags.writeable
+class TestChainCrash:
+    @staticmethod
+    def table(H):
+        return relaxation.chain_crash(H, decomposed_system(decompose(H), H.n))
+
+    def test_one_check_crashed_from_both_ends(self):
+        # a degree-8 check: z_1..z_3 from its first end, z_5 and z_4 from its
+        # last; bit 4, the middle of the middle triple, is in no P
+        H = ParityCheckMatrix(n=8, rows=(tuple(range(8)),))
+        table = self.table(H)
+        ends = np.append(table.starts[1:], table.cols.size)
+        assert [(table.cols[s:e][table.signs[s:e] > 0].tolist(),
+                 table.cols[s:e][table.signs[s:e] < 0].tolist())
+                for s, e in zip(table.starts, ends)] == [
+            ([0, 1], [8]), ([0, 1, 2], [8, 9]), ([0, 1, 2, 3], [8, 9, 10]),
+            ([7, 6, 5], [12, 11]), ([7, 6], [12])]
+        assert table.aux.tolist() == [8, 9, 10, 11, 12]
+        assert table.middle.tolist() == [1, 2, 3, 5, 6]
+        assert table.end.tolist() == [0, 8, 9, 12, 7]
+        assert table.support.tolist() == list(range(8)) and table.first.tolist() == [0]
+        assert table.signs.tolist() == [1 if c < 8 else -1 for c in table.cols.tolist()]
+        assert table.owner.tolist() == [a for a, e in enumerate(ends - table.starts)
+                                        for _ in range(e)]
+
+    @pytest.mark.parametrize("name", ["hamming-7-4", "ldpc-48-24"])
+    def test_candidate_rows_are_tight_at_their_values(self, name):
+        # rows[a, z, m] holds e, m and z alone and is tight where they take
+        # z xor m, m and z
+        H = builtin_code(name)
+        table = self.table(H)
+        A, b = (np.asarray(v) for v in table.system.dense())
+        for a, end in enumerate(table.end):
+            for z, m in itertools.product((0, 1), repeat=2):
+                r = table.rows[a, z, m]
+                x = np.zeros(table.system.num_vars)
+                x[[end, table.middle[a], table.aux[a]]] = z ^ m, m, z
+                assert np.flatnonzero(A[r]).tolist() == sorted(
+                    [end, table.middle[a], table.aux[a]])
+                assert A[r] @ x == b[r]
+
+    def test_read_only_and_empty_without_auxiliaries(self):
+        table = self.table(builtin_code("ldpc-48-24"))
+        assert not any(a.flags.writeable for a in (
+            table.support, table.first, table.check, table.aux, table.end, table.middle,
+            table.rows, table.cols, table.starts, table.owner, table.signs))
+        empty = self.table(builtin_code("paper-example"))
+        assert empty.aux.size == 0
+        z, rows, p, (at_rows, at_cols), coef = empty.start(np.ones(4, dtype=bool))
+        assert z.size == rows.size == p.size == at_rows.size == at_cols.size == coef.size == 0
 
 
 class TestDecompose:
