@@ -7,6 +7,12 @@ import random
 from dataclasses import dataclass
 
 
+# most ones of a `gallager` code, most nonzeros a system stores (512 MiB of cols and vals,
+# and up to 256 MiB more of supports and row indices in its blocks, 512 MiB if every
+# check has degree 1), and most cells of a decode's dense tableau (256 MiB)
+MAX_ENTRIES = 2 ** 25
+
+
 class CodeError(ValueError):
     """Invalid parity-check matrix or code specification."""
 
@@ -202,7 +208,7 @@ def gallager(n: int, dv: int, dc: int, seed: int) -> ParityCheckMatrix:
 
     The first block's check i is columns [dc*i, dc*(i+1)); each further block
     is that one with its columns permuted by `random.Random(seed)`.  Two checks
-    may coincide.
+    may coincide.  A code of more than MAX_ENTRIES ones is refused unbuilt.
     """
     for name, v in (("n", n), ("dv", dv), ("dc", dc), ("seed", seed)):
         try:
@@ -213,6 +219,8 @@ def gallager(n: int, dv: int, dc: int, seed: int) -> ParityCheckMatrix:
         raise CodeError(f"need n, dv, dc >= 1 and seed >= 0, got ({n}, {dv}, {dc}, {seed})")
     if n % dc:
         raise CodeError(f"check degree {dc} does not divide n = {n}")
+    if n * dv > MAX_ENTRIES:
+        raise CodeError(f"gallager code of {n * dv} ones exceeds MAX_ENTRIES = {MAX_ENTRIES}")
     rng = random.Random(seed)
     base = [range(dc * i, dc * (i + 1)) for i in range(n // dc)]
     rows = [tuple(r) for r in base]

@@ -6,11 +6,11 @@ bounded cache, and shared by every decode of that code.  A decode whose hard
 decision already satisfies every check returns it without solving: it attains
 the lower bound sum(min(gamma_i, 0)) of both relaxations, so it is their
 optimum and the ML codeword.  Otherwise a chain LP carries the code's crash
-table (`relaxation.chain_crash`, built once per code when its first chain LP
-is assembled): the solve starts the auxiliaries of every check whose hard
-decision has a one basic at their parity, still at the hard decision, with
-fewer pivots to make.  A decode returns a plain `DecodeOutcome`; `cli`
-writes it.
+table (`relaxation.chain_crash`, which stores each chain once and derives its
+closed form, built once per code when its first chain LP is assembled): the
+solve starts the auxiliaries of every check whose hard decision has a one
+basic at their parity, still at the hard decision, with fewer pivots to make.
+A decode returns a plain `DecodeOutcome`; `cli` writes it.
 """
 
 from __future__ import annotations

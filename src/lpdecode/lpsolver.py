@@ -17,10 +17,10 @@ Lemke's dual simplex only has to repair the constraints it violates.  A chain
 LP may carry a crash (Bixby, 1992), `relaxation.ChainCrash`: the auxiliaries
 of each check with a one at the start are made basic at their parity, each
 through its triple's row that is tight there, in place of its box row.  The
-table gives their tableau rows in closed form, so one scatter writes them
-however long the chains are; the point, the objective row and dual
-feasibility are unchanged, and the dual loop spends no pivot on swapping
-their box rows for rows of their triples.  Each dual pivot computes the
+table stores each chain once and derives their tableau rows in closed form,
+so one scatter writes them however long the chains are; the point, the
+objective row and dual feasibility are unchanged, and the dual loop spends no
+pivot on swapping their box rows for rows of their triples.  Each dual pivot computes the
 violation of every constraint, takes the most violated one and builds only
 that constraint's tableau row.  The ratio test picks the active constraint it
 replaces, and a rank-1 update of the n+1 rows makes the exchange; it touches
@@ -147,16 +147,16 @@ def _crash(T: np.ndarray, nonbasic: np.ndarray, x: np.ndarray, cs: ConstraintSys
 
     `crash.start` gives their tableau rows in closed form; each auxiliary's
     row and column held only its unit entry, so nothing else changes.  A
-    crash variable with a cost, or a table that does not fit cs, raises
-    SolverError.
+    table that does not fit cs (`ChainCrash.verify`), or a crash variable
+    with a cost, raises SolverError.
     """
-    if np.count_nonzero(c[crash.aux]):
-        raise SolverError("crash variables must cost 0")
     if crash.system is not cs:
         try:
             crash.verify(cs)
         except RelaxationError as err:
             raise SolverError(f"the crash table does not fit this LP: {err}") from None
+    if np.count_nonzero(c[crash.aux]):
+        raise SolverError("crash variables must cost 0")
     z, rows, p, at, coef = crash.start(x)
     T[at] = coef
     T[z, -1] = p

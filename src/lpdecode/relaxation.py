@@ -9,28 +9,22 @@ The chain reformulation is itself a code: `decompose` rewrites each degree-d
 check (d >= 4) as d-2 degree-3 checks linked by d-3 auxiliary variables, and
 the chain relaxation is Feldman's system of that code.  It needs only
 4*(d-2) rows per check, and the 0/1 box bounds become implied for every
-variable covered by a degree-3 check.  `chain_crash` builds, once per code,
-the table from which a solve writes, in closed form, the tableau rows of a
-chain LP's auxiliaries made basic at a 0/1 start's parities.
+variable covered by a degree-3 check.  `chain_crash` stores each chain once,
+per code, in the table from which a solve writes, in closed form, the tableau
+rows of a chain LP's auxiliaries made basic at a 0/1 start's parities.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .codes import DegreeProfile, ParityCheckMatrix
-
-
-# most nonzeros a system stores (512 MiB of cols and vals, and up to 256 MiB
-# more of supports and row indices in its blocks, 512 MiB if every check has
-# degree 1), and most cells of a decode's dense tableau (256 MiB)
-MAX_ENTRIES = 2 ** 25
+from .codes import MAX_ENTRIES, DegreeProfile, ParityCheckMatrix
 
 
 class RelaxationError(ValueError):
@@ -193,18 +187,17 @@ def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> 
     return ConstraintSystem(H.n, indptr, cols, vals, b, tuple(blocks))
 
 
-def _chains(H: ParityCheckMatrix):
-    """Each check of degree d >= 3 as (its index, its support, its chain's ends).
+def _chains(supports, next_aux: int):
+    """Each support of 3 or more bits as (it, its chain's ends).
 
     The ends of a support (i_1,...,i_d) are (i_1, z_1, ..., z_{d-3}, i_d), with
-    the auxiliary columns z numbered from H.n, check-major then chain order.
+    the auxiliary columns z numbered from next_aux, support after support.
     Triple t of the chain is (ends[t], support[t+1], ends[t+1]).
     """
-    next_aux = H.n
-    for j, support in enumerate(H.rows):
+    for support in supports:
         d = len(support)
         if d >= 3:
-            yield j, support, (support[0], *range(next_aux, next_aux + d - 3), support[-1])
+            yield support, (support[0], *range(next_aux, next_aux + d - 3), support[-1])
             next_aux += d - 3
 
 
@@ -219,77 +212,103 @@ def decompose(H: ParityCheckMatrix) -> ParityCheckMatrix:
     Restricted to the first H.n columns, the chain code's codewords are exactly
     H's, and each extends in exactly one way.
     """
-    triples = [tuple(sorted(t)) for _, support, ends in _chains(H)
+    triples = [tuple(sorted(t)) for support, ends in _chains(H.rows, H.n)
                for t in zip(ends, support[1:-1], ends[1:])]
     short = tuple(support for support in H.rows if len(support) < 3)
     n = H.n + sum(len(support) - 3 for support in H.rows if len(support) > 3)
     return ParityCheckMatrix(n=n, rows=(*triples, *short))
 
 
-# the coefficients of a triple's end e, middle m and auxiliary z in its row that
-# is tight where z and m take the first two indices (and e = z xor m): the odd
-# subset {e if e = 1} + {m if m = 1} + {z if z = 0}
-_TIGHT = np.array([[[2 * (z ^ m) - 1, 2 * m - 1, 1 - 2 * z] for m in (0, 1)] for z in (0, 1)])
-_TIGHT.flags.writeable = False
-
-
 @dataclass(frozen=True, eq=False)
 class ChainCrash:
     """How each auxiliary z of a chain LP enters the basis at a 0/1 start.
 
-    z is crashed from one end of its chain (see `chain_crash`): P are the bits
-    from that end through its triple's middle bit m, and Q the auxiliaries
-    from that end to z, z last.  At a start with every auxiliary at 0, z takes
-    the parity p of P.  Making each auxiliary of Q basic in turn, through its
+    The table stores only the chains: the bits of each check with auxiliaries,
+    and its chain's first triple t0, whose triple t is the rows 4(t0+t)..4(t0+t)+3
+    of the system.  A degree-d check's auxiliaries z_1..z_k, k = d-3, are
+    numbered after every bit, as `decompose` numbers them.  With q <=
+    ceil(k/2), z_q is crashed from the chain's first end: P is the check's
+    bits 0..q, Q is z_1..z_q, and its triple is triple q-1.  Otherwise it is
+    crashed from the last end: P is bits d-1..q+1, Q is z_k..z_q, and its
+    triple is triple q.  At a start with every auxiliary at 0, z takes the
+    parity p of P.  Making each auxiliary of Q basic in turn, through its
     triple's row that is tight there, leaves z's tableau row (a rhs minus
     coefficients times the active constraints' slacks) with 2p-1 in the
     columns of P, 1-2p in those of Q, p as its rhs and nothing else.
 
-    The arrays are read-only.  `verify` checks the table against `system`
-    when it is built, and against any other system a solve hands it.
+    What `start` reads is derived from the chains once, as read-only arrays:
+    each auxiliary's `check`, variable `aux`, middle bit `middle` (the last
+    of P) and `rows[a, z, m]`, its triple's row tight at those values; and P
+    then Q of each in `cols`, with `starts`, `owner` (an index into `aux`)
+    and `signs` (1 in P, -1 in Q).  `verify` checks the chains against
+    `system` when the table is built, and against any other system a solve
+    hands it.
     """
 
     system: ConstraintSystem  # the chain system it was built for
     support: np.ndarray  # the bits of each check with auxiliaries, check after check
     first: np.ndarray  # where each such check starts in `support`
-    check: np.ndarray  # (A,) each auxiliary's check, numbered among those
-    aux: np.ndarray  # (A,) its variable z
-    end: np.ndarray  # (A,) its triple's end e
-    middle: np.ndarray  # (A,) its triple's middle bit m, the last of P
-    rows: np.ndarray  # (A, 2, 2) its triple's row tight where z and m take those values
-    cols: np.ndarray  # P, then Q, of each auxiliary in turn
-    starts: np.ndarray  # (A,) where each auxiliary's P starts in `cols`
-    owner: np.ndarray  # each entry's auxiliary, an index into `aux`
-    signs: np.ndarray  # each entry's sign, 1 in P and -1 in Q
+    triple: np.ndarray  # the first triple of each such check's chain
 
     def __post_init__(self):
-        for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        for a in (self.support, self.first, self.triple):
+            a.flags.writeable = False
+        degree = np.diff(self.first, append=self.support.size)
+        if (self.first.shape != self.triple.shape or degree.sum() != self.support.size
+                or (degree < 4).any()):
+            raise RelaxationError("each check of a crash table needs four or more bits "
+                                  "and a first triple")
+        n = self.system.num_vars - (degree - 3).sum()  # the first auxiliary
+        chains = _chains([bits.tolist() for bits in np.split(self.support, self.first[1:])], n)
+        # the rows and sorted columns of each triple, then the closed form's arrays
+        trows, tcols, per_aux, rows, cols = [], [], [], [], []
+        for c, ((bits, ends), t0) in enumerate(zip(chains, self.triple.tolist())):
+            trows += range(4 * t0, 4 * (t0 + len(bits) - 2))
+            tcols += map(sorted, zip(ends, bits[1:-1], ends[1:]))
+            k = len(bits) - 3
+            for q in range(1, k + 1):
+                if q <= (k + 1) // 2:
+                    t, e, P, Q = q - 1, ends[q - 1], bits[:q + 1], ends[1:q + 1]
+                else:
+                    t, e, P, Q = q, ends[q + 1], bits[:q:-1], ends[k:q - 1:-1]
+                m, z, r = P[-1], ends[q], 4 * (t0 + t)
+                # row r + i has +1 at the triple's i-th column (all three if i = 3); the
+                # row tight at z, m, e = z xor m has +1 at z if z = 0, m if m = 1, e if e = 1
+                rows.append(((r + (z > e) + (z > m), r + 3),
+                             (r + (e > z) + (e > m), r + (m > z) + (m > e))))
+                per_aux.append((c, m, len(cols)))
+                cols += (*P, *Q)
+        check, middle, starts = np.array(per_aux, dtype=np.intp).reshape(-1, 3).T.copy()
+        cols = np.array(cols, dtype=np.intp)
+        for name, a in (("_trows", np.array(trows, dtype=np.intp).reshape(-1, 4)),
+                        ("_tcols", np.array(tcols, dtype=np.intp).reshape(-1, 1, 3)),
+                        ("check", check), ("aux", np.arange(n, self.system.num_vars)),
+                        ("middle", middle),
+                        ("rows", np.array(rows, dtype=np.intp).reshape(-1, 2, 2)),
+                        ("cols", cols), ("starts", starts),
+                        ("owner", np.repeat(np.arange(check.size),
+                                            np.diff(starts, append=cols.size))),
+                        ("signs", np.where(cols < n, 1, -1))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         self.verify(self.system)
 
     def verify(self, cs: ConstraintSystem) -> None:
         """Raise RelaxationError unless the table fits the chain system cs: every
-        index in range, no auxiliary listed twice, and each candidate row the
-        row of its triple alone that is tight at its values."""
-        n, m = cs.num_vars, cs.b.size
-        if any(a.size and (a.min() < 0 or a.max() >= bound) for a, bound in (
-                (self.support, n), (self.aux, n), (self.end, n), (self.middle, n),
-                (self.cols, n), (self.rows, m))):
-            raise RelaxationError(f"crash table index out of range for {n} variables "
-                                  f"and {m} rows")
-        # not np.unique, which imports numpy.ma: 1.7 MB of resident memory
-        if np.bincount(self.aux).max(initial=0) > 1:
-            raise RelaxationError("crash table lists an auxiliary twice")
-        triple = np.stack([self.end, self.middle, self.aux], 1)
-        order = np.argsort(triple, 1)[:, None, None]
-        want = np.take_along_axis(np.broadcast_to(_TIGHT, (self.aux.size, 2, 2, 3)), order, 3)
-        at = cs.indptr[self.rows][..., None] + np.arange(3)
-        if ((np.diff(cs.indptr)[self.rows] != 3).any()
-                or (cs.cols[at] != np.sort(triple, 1)[:, None, None]).any()
-                or (cs.vals[at] != want).any() or (cs.b[self.rows] != (want > 0).sum(3) - 1).any()):
-            raise RelaxationError("each crash row must hold its auxiliary with its triple's "
-                                  "end and middle bit, tight at their values")
+        index in range, each check's bits strictly increasing, and each triple
+        of its chain at its four rows of cs, as `decomposed_system` writes them."""
+        support, rows, n, m = self.support, self._trows, self.system.num_vars, cs.b.size
+        if (support.min(initial=0) < 0 or support.max(initial=-1) >= n - self.aux.size
+                or n > cs.num_vars or rows.min(initial=0) < 0 or rows.max(initial=-1) >= m):
+            raise RelaxationError(f"crash table index out of range for {cs.num_vars} "
+                                  f"variables and {m} rows")
+        signs, rhs, _ = _check_pattern(3)
+        at = cs.indptr[rows][..., None] + np.arange(3)
+        if ((np.delete(np.diff(support), self.first[1:] - 1) <= 0).any()
+                or (np.diff(cs.indptr)[rows] != 3).any() or (cs.cols[at] != self._tcols).any()
+                or (cs.vals[at] != signs).any() or (cs.b[rows] != rhs).any()):
+            raise RelaxationError("each check's bits in a crash table must increase, and each "
+                                  "triple of its chain sit at its four rows of the system")
 
     def start(self, x: np.ndarray):
         """The crash at the start x, a boolean per variable, with every auxiliary
@@ -307,41 +326,13 @@ class ChainCrash:
 
 
 def chain_crash(H: ParityCheckMatrix, cs: ConstraintSystem) -> ChainCrash:
-    """The crash table of H's chain LP, whose system cs is Feldman's of decompose(H).
-
-    A check of degree d has the auxiliaries z_1..z_k, k = d-3.  With q <=
-    ceil(k/2), z_q is crashed from the chain's first end: P is the check's
-    bits 0..q, Q is z_1..z_q, and its triple is triple q-1.  Otherwise it is
-    crashed from the last end: P is bits d-1..q+1, Q is z_k..z_q, and its
-    triple is triple q.  Triple t of the chain is the rows 4t..4t+3 of cs.
-    """
-    row_of = {tuple(r): i for i, r in enumerate(_check_pattern(3)[0].tolist())}
-    table = {f.name: [] for f in fields(ChainCrash)[1:]}  # all but `system`
-    triple = 0  # the check's first triple
-    for _, support, ends in _chains(H):
-        k = len(support) - 3
-        if k:
-            table["first"].append(len(table["support"]))
-            table["support"] += support
-        for q in range(1, k + 1):
-            if q <= (k + 1) // 2:
-                t, e, P, Q = q - 1, ends[q - 1], support[:q + 1], ends[1:q + 1]
-            else:
-                t, e, P, Q = q, ends[q + 1], support[:q:-1], ends[k:q - 1:-1]
-            order = np.argsort((e, P[-1], ends[q]))
-            row = [[4 * (triple + t) + row_of[tuple(_TIGHT[z, m, order].tolist())]
-                    for m in (0, 1)] for z in (0, 1)]
-            for name, value in (("check", len(table["first"]) - 1), ("aux", ends[q]),
-                                ("end", e), ("middle", P[-1]), ("rows", row),
-                                ("starts", len(table["cols"]))):
-                table[name].append(value)
-            table["owner"] += [len(table["aux"]) - 1] * (len(P) + len(Q))
-            table["signs"] += [1] * len(P) + [-1] * len(Q)
-            table["cols"] += (*P, *Q)
-        triple += k + 1
-    arrays = {name: np.array(a, dtype=np.intp) for name, a in table.items()}
-    arrays["rows"] = arrays["rows"].reshape(-1, 2, 2)
-    return ChainCrash(cs, **arrays)
+    """The crash table of H's chain LP, whose system cs is Feldman's of decompose(H):
+    each check of degree 4 or more, with the first triple of its chain."""
+    starts = itertools.accumulate((max(len(s) - 2, 0) for s in H.rows), initial=0)
+    chained = [(s, t) for s, t in zip(H.rows, starts) if len(s) > 3]
+    degree = np.array([len(s) for s, _ in chained], dtype=np.intp)
+    return ChainCrash(cs, np.array([i for s, _ in chained for i in s], dtype=np.intp),
+                      np.cumsum(degree) - degree, np.array([t for _, t in chained], dtype=np.intp))
 
 
 def decomposed_system(D: ParityCheckMatrix, n_original: int) -> ConstraintSystem:

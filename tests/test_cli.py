@@ -362,6 +362,18 @@ class TestGallagerSpec:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["counts"], ["simulate", "--channel", "bsc:0.1",
+                                                      "--trials", "1"]])
+    def test_too_many_ones_exit_code(self, capsys, command):
+        # 18e9 ones, past MAX_ENTRIES: refused before the code is built
+        t0 = time.perf_counter()
+        code = main([*command, "--code", "gallager:6000000000,3,6,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: gallager code of 18000000000 ones exceeds "
+                                "MAX_ENTRIES = 33554432\n")
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestSimulate:
     def test_csv_stream(self, capsys):
@@ -391,7 +403,9 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("code, channel", [("builtin:hamming-7-4", "bsc:0.05"),
-                                               ("builtin:ldpc-48-24", "awgn:0.7")])
+                                               ("builtin:ldpc-48-24", "awgn:0.7"),
+                                               # 9 auxiliaries per check
+                                               ("gallager:120,3,12,1", "awgn:0.5")])
     def test_byte_identical_across_processes(self, tmp_path, code, channel):
         # two fresh interpreters compile the code's LPs themselves; the
         # in-process run reuses the systems a warm-up run compiled
@@ -449,3 +463,26 @@ def test_negative_seed(capsys, argv, seed):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"seed and trial must be non-negative, got seed {seed}, trial 0" in captured.err
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique and NumPy's other set routines import numpy.ma, 1.7 MB of
+    # resident memory; no command needs it, the chain's crash table included
+    script = f"""
+import sys
+from lpdecode.cli import main
+from lpdecode.simulate import sample_gamma
+gamma = ",".join(map(repr, map(float, sample_gamma(48, 1, 0).gammas)))
+for argv in (["counts"], ["compare", "--num-gammas", "3"],
+             ["decode", "--gamma=" + gamma, "--formulation", "feldman"],
+             ["decode", "--gamma=" + gamma, "--formulation", "decomposed"],
+             ["simulate", "--channel", "awgn:0.7", "--trials", "5", "--formulation", "both"]):
+    assert main([*argv, "--code", "builtin:ldpc-48-24", "--out", {str(tmp_path / "out")!r}]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ)
+    src = str(Path(lpdecode.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpdecode import codes
 from lpdecode.codes import (LDPC_48_24, AlistFormatError, CodeError, ParityCheckMatrix,
                             UnknownCodeError, builtin_code, degree_profile,
                             from_dense, gallager, parse_alist, write_alist)
@@ -231,3 +232,12 @@ class TestGallager:
     def test_invalid_rejected(self, args):
         with pytest.raises(CodeError):
             gallager(*args)
+
+    def test_ones_past_max_entries_refused_unbuilt(self, monkeypatch):
+        # 6e9 columns would take tens of GB to shuffle: refused before any is built
+        with pytest.raises(CodeError, match="18000000000 ones exceeds MAX_ENTRIES"):
+            gallager(6_000_000_000, 3, 6, 1)
+        monkeypatch.setattr(codes, "MAX_ENTRIES", 24)
+        assert gallager(8, 3, 4, 1).m == 6  # 24 ones: at the limit
+        with pytest.raises(CodeError, match="27 ones exceeds MAX_ENTRIES = 24"):
+            gallager(9, 3, 3, 1)

@@ -11,7 +11,8 @@ from lpdecode.codes import ParityCheckMatrix, builtin_code, from_dense, gallager
 from lpdecode.decoder import build_program
 from lpdecode.lpsolver import (DimensionError, IterationLimitError, LinearProgram,
                                SolverError, is_integral, solve)
-from lpdecode.relaxation import ConstraintSystem, RelaxationError, feldman_system
+from lpdecode.relaxation import (ChainCrash, ConstraintSystem, RelaxationError,
+                                 decomposed_system, feldman_system)
 from lpdecode.simulate import sample_gamma
 
 from conftest import enumerate_vertices, interleaved_code, random_matrix
@@ -649,24 +650,63 @@ class TestCrash:
             with pytest.raises(SolverError, match="cost 0"):
                 solve(costly)
 
-    def test_crash_variable_listed_twice(self, lp):
-        z = lp.crash.aux
-        for twice in (np.r_[z[:1], z[:-1]],  # within one check
-                      np.r_[z[:-1], z[:1]]):  # in two checks
-            with pytest.raises(RelaxationError, match="twice"):
-                dataclasses.replace(lp.crash, aux=twice)
+    def test_chain_bits_rolled(self, lp):
+        table = lp.crash
+        d = table.first[1]  # the first check's degree
+        for support in (np.roll(table.support, 1),  # across the checks
+                        np.r_[np.roll(table.support[:d], 1), table.support[d:]],  # within one
+                        # shifted by one place, still increasing
+                        np.r_[table.support[:d - 1], table.support[d - 1] + 1, table.support[d:]]):
+            with pytest.raises(RelaxationError):
+                dataclasses.replace(table, support=support)
+
+    def test_chain_bits_repeated(self):
+        # the system holds this chain's triples (0,1,z1), (z1,0,z2), (z2,2,z3),
+        # (z3,3,4), but z2's P would hold bit 0 twice, and its closed form
+        # would not be its pivots'
+        cs = decomposed_system(ParityCheckMatrix(n=8, rows=(
+            (0, 1, 5), (0, 5, 6), (2, 6, 7), (3, 4, 7))), 5)
+        with pytest.raises(RelaxationError, match="must increase"):
+            ChainCrash(cs, np.array([0, 1, 0, 2, 3, 4]), np.array([0]), np.array([0]))
+
+    def test_two_checks_auxiliaries_swapped(self, lp):
+        # the auxiliaries are numbered check after check, so listing two checks
+        # the other way round gives each the other's auxiliaries
+        table = lp.crash
+        d = table.first[1]
+        support = np.r_[table.support[d:2 * d], table.support[:d], table.support[2 * d:]]
+        triple = np.r_[table.triple[1], table.triple[0], table.triple[2:]]
+        with pytest.raises(RelaxationError, match="four rows"):
+            dataclasses.replace(table, support=support, triple=triple)
+        # swapping the triples alone, or the bits alone, is refused as well
+        for changes in ({"support": support}, {"triple": triple}):
+            with pytest.raises(RelaxationError, match="four rows"):
+                dataclasses.replace(table, **changes)
 
     def test_crash_row_without_its_variable(self, lp):
-        with pytest.raises(RelaxationError, match="must hold its auxiliary"):
-            dataclasses.replace(lp.crash, rows=lp.crash.rows[::-1])
+        # a triple start off by one points the chain at rows without its auxiliaries
+        for step in (1, -1):
+            triple = lp.crash.triple.copy()
+            triple[1] += step
+            with pytest.raises(RelaxationError, match="four rows"):
+                dataclasses.replace(lp.crash, triple=triple)
 
-    @pytest.mark.parametrize("z, row", [(-1, 0), (0, -1), (10 ** 6, 0), (0, 10 ** 6)])
-    def test_crash_index_out_of_range(self, lp, z, row):
-        # put the variable z and the row `row` in the first auxiliary's place
-        aux, rows = lp.crash.aux.copy(), lp.crash.rows.copy()
-        aux[0], rows[0, 0, 0] = z, row
+    @pytest.mark.parametrize("changes", [
+        {"first": np.array([1, 6])}, {"first": np.array([0, 3])},
+        {"triple": np.array([0])}, {"support": np.arange(5)}])
+    def test_crash_checks_malformed(self, lp, changes):
+        with pytest.raises(RelaxationError, match="four or more bits"):
+            dataclasses.replace(lp.crash, **{"first": lp.crash.first[:2],
+                                             "triple": lp.crash.triple[:2],
+                                             "support": lp.crash.support[:12], **changes})
+
+    @pytest.mark.parametrize("bit, triple", [(-1, 0), (0, -1), (10 ** 6, 0), (0, 10 ** 6)])
+    def test_crash_index_out_of_range(self, lp, bit, triple):
+        # put the bit `bit` and the triple start `triple` in the first check's place
+        support, triples = lp.crash.support.copy(), lp.crash.triple.copy()
+        support[0], triples[0] = bit, triple
         with pytest.raises(RelaxationError, match="out of range"):
-            dataclasses.replace(lp.crash, aux=aux, rows=rows)
+            dataclasses.replace(lp.crash, support=support, triple=triples)
 
     def test_crash_table_of_another_system(self, lp):
         # the table is checked again against any other system a solve hands it
@@ -677,14 +717,42 @@ class TestCrash:
         r = lp.crash.rows[0, 0, 0]
         b = cs.b.copy()
         b[r] += 1.0  # the first auxiliary's candidate row is no longer tight
+        vals = cs.vals.copy()
+        vals[cs.indptr[r]:cs.indptr[r + 1]] *= -1.0  # nor this one
         shorter = len(cs.indptr) - 1 - 4  # the last triple's rows dropped
         for other, match in (
-                (ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, b), "tight"),
+                (ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, b), "four rows"),
+                (ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, vals, cs.b), "four rows"),
                 (ConstraintSystem(cs.num_vars, cs.indptr[:shorter + 1],
                                   cs.cols[:cs.indptr[shorter]], cs.vals[:cs.indptr[shorter]],
                                   cs.b[:shorter]), "out of range")):
             with pytest.raises(SolverError, match=match):
                 solve(dataclasses.replace(lp, constraints=other))
+
+    @pytest.mark.parametrize("order", [[3, 2, 1, 0], [4, 5, 6, 7, 0, 1, 2, 3]])
+    def test_crash_on_permuted_triple_rows(self, lp, order):
+        # the same constraints in another order: the table's rows are no longer
+        # the triples' rows, so the solve refuses it
+        cs = lp.constraints
+        order = np.r_[order, len(order):cs.b.size]
+        start, end = cs.indptr[order], cs.indptr[order + 1]
+        at = np.concatenate([np.arange(s, e) for s, e in zip(start, end)])
+        permuted = ConstraintSystem(cs.num_vars, np.r_[0, np.cumsum(end - start)],
+                                    cs.cols[at], cs.vals[at], cs.b[order])
+        assert solve(LinearProgram(lp.objective, permuted)).objective_value == \
+            pytest.approx(solve(lp).objective_value, abs=1e-9)
+        with pytest.raises(SolverError, match="four rows"):
+            solve(dataclasses.replace(lp, constraints=permuted))
+
+    @pytest.mark.parametrize("other", [lambda: gallager(48, 3, 6, 1),
+                                       lambda: builtin_code("hamming-7-4"),
+                                       lambda: gallager(120, 3, 12, 1)],
+                             ids=["gallager-48-3-6", "hamming-7-4", "gallager-120-3-12"])
+    def test_crash_table_of_another_code(self, lp, other):
+        H = other()
+        table = build_program(H, sample_gamma(H.n, 1, 0), "decomposed").crash
+        with pytest.raises(SolverError, match="does not fit"):
+            solve(dataclasses.replace(lp, crash=table))
 
     def test_crash_with_other_bounds(self, lp):
         # the crash's closed form assumes a 0/1 start

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -275,6 +276,10 @@ class TestChainCrash:
         # last; bit 4, the middle of the middle triple, is in no P
         H = ParityCheckMatrix(n=8, rows=(tuple(range(8)),))
         table = self.table(H)
+        assert [f.name for f in dataclasses.fields(table)] == [
+            "system", "support", "first", "triple"]
+        assert table.support.tolist() == list(range(8))
+        assert table.first.tolist() == table.triple.tolist() == [0]
         ends = np.append(table.starts[1:], table.cols.size)
         assert [(table.cols[s:e][table.signs[s:e] > 0].tolist(),
                  table.cols[s:e][table.signs[s:e] < 0].tolist())
@@ -282,33 +287,38 @@ class TestChainCrash:
             ([0, 1], [8]), ([0, 1, 2], [8, 9]), ([0, 1, 2, 3], [8, 9, 10]),
             ([7, 6, 5], [12, 11]), ([7, 6], [12])]
         assert table.aux.tolist() == [8, 9, 10, 11, 12]
+        assert table.check.tolist() == [0] * 5
         assert table.middle.tolist() == [1, 2, 3, 5, 6]
-        assert table.end.tolist() == [0, 8, 9, 12, 7]
-        assert table.support.tolist() == list(range(8)) and table.first.tolist() == [0]
+        # triples (0,1,8), (8,2,9), (9,3,10), (10,4,11), (11,5,12), (12,6,7)
+        assert table.rows.tolist() == [[[2, 3], [0, 1]], [[6, 7], [5, 4]], [[10, 11], [9, 8]],
+                                       [[17, 19], [18, 16]], [[22, 23], [21, 20]]]
         assert table.signs.tolist() == [1 if c < 8 else -1 for c in table.cols.tolist()]
         assert table.owner.tolist() == [a for a, e in enumerate(ends - table.starts)
                                         for _ in range(e)]
 
     @pytest.mark.parametrize("name", ["hamming-7-4", "ldpc-48-24"])
     def test_candidate_rows_are_tight_at_their_values(self, name):
-        # rows[a, z, m] holds e, m and z alone and is tight where they take
-        # z xor m, m and z
+        # rows[a, z, m] holds e, m and z alone, where e is the third variable of
+        # the chain code's one triple holding z and m, and is tight where they
+        # take z xor m, m and z
         H = builtin_code(name)
         table = self.table(H)
         A, b = (np.asarray(v) for v in table.system.dense())
-        for a, end in enumerate(table.end):
+        triples = decompose(H).rows
+        for a, (z_var, m_var) in enumerate(zip(table.aux.tolist(), table.middle.tolist())):
+            [triple] = [t for t in triples if z_var in t and m_var in t]
+            [end] = set(triple) - {z_var, m_var}
             for z, m in itertools.product((0, 1), repeat=2):
                 r = table.rows[a, z, m]
                 x = np.zeros(table.system.num_vars)
-                x[[end, table.middle[a], table.aux[a]]] = z ^ m, m, z
-                assert np.flatnonzero(A[r]).tolist() == sorted(
-                    [end, table.middle[a], table.aux[a]])
+                x[[end, m_var, z_var]] = z ^ m, m, z
+                assert np.flatnonzero(A[r]).tolist() == list(triple)
                 assert A[r] @ x == b[r]
 
     def test_read_only_and_empty_without_auxiliaries(self):
         table = self.table(builtin_code("ldpc-48-24"))
         assert not any(a.flags.writeable for a in (
-            table.support, table.first, table.check, table.aux, table.end, table.middle,
+            table.support, table.first, table.triple, table.check, table.aux, table.middle,
             table.rows, table.cols, table.starts, table.owner, table.signs))
         empty = self.table(builtin_code("paper-example"))
         assert empty.aux.size == 0
