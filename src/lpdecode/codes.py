@@ -7,9 +7,10 @@ import random
 from dataclasses import dataclass
 
 
-# most ones of a `gallager` code, most nonzeros a system stores (512 MiB of cols and vals,
-# and up to 256 MiB more of supports and row indices in its blocks, 512 MiB if every
-# check has degree 1), and most cells of a decode's dense tableau (256 MiB)
+# most ones of a `gallager` code, most nonzeros a system stores (512 MiB of cols and
+# vals; the supports and row indices of its pricing blocks, up to 256 MiB more, 512 MiB
+# if every check has degree 1, exist only once the system is first solved), and most
+# cells of a decode's dense tableau (256 MiB)
 MAX_ENTRIES = 2 ** 25
 
 

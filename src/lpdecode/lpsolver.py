@@ -33,13 +33,14 @@ no progress.  Remaining ties break by lowest index, so the result is
 deterministic.  An optional trace callback receives one `TraceEvent` per
 dual pivot; the crash sends none.
 
-The rows of A are priced by `ConstraintSystem.blocks`: all the checks of one
-degree share one sign pattern, so one gather of x over their supports and one
-matrix product give their rows' activities, each summed over its support in
-column order, as an entry-by-entry pass would.  The entering row is built from
-A's stored nonzeros, or is +-T[j] for a box row.  The system holds its arrays
-read-only and shares them with every solve of it, and `solve` never writes
-them.
+The rows of A are priced by `ConstraintSystem.blocks`, which a system derives
+from its rows on its first solve and keeps: the supports that share one sign
+pattern (in a code's system, all the checks of one degree) form one block, so
+one gather of x over their supports and one matrix product give their rows'
+activities, each summed over its support in column order, as an
+entry-by-entry pass would.  The entering row is built from A's stored
+nonzeros, or is +-T[j] for a box row.  The system holds its arrays read-only
+and shares them with every solve of it, and `solve` never writes them.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -60,16 +60,11 @@ class _Rows(Sequence):
 
 @dataclass(eq=False)
 class ConstraintSystem:
-    """A.x <= b over num_vars variables, with integer entries, stored by row:
-    A[i, cols[k]] = vals[k] for k in [indptr[i], indptr[i + 1]), cols ascending.
-
-    `blocks` are the rows as the solver prices them.  In a block
-    `(rows, supports, signs)` each support's rows share one sign pattern, so
-    the activities of the rows `rows` of A (a slice, or their indices) are,
-    check-major, `x[supports] @ signs`, with `supports` k x d and `signs`
-    d x p.  A system given no blocks gets one per row, with that row's `vals`
-    as its signs.  The arrays are made read-only, so every solve can share
-    them.  `rows` views them as `Row`s.
+    """A.x <= b over num_vars variables, stored by row only:
+    A[i, cols[k]] = vals[k] for k in [indptr[i], indptr[i + 1]), cols strictly
+    increasing within each row.  The arrays are checked once, when the system
+    is made, and made read-only, so every solve can share them.  `rows` views
+    them as `Row`s, and `blocks` prices them.
     """
 
     num_vars: int
@@ -77,15 +72,88 @@ class ConstraintSystem:
     cols: np.ndarray
     vals: np.ndarray
     b: np.ndarray
-    blocks: tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     def __post_init__(self):
-        for a in (self.indptr, self.cols, self.vals, self.b):
+        arrays = (self.indptr, self.cols, self.vals, self.b)
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 for a in arrays):
+            raise RelaxationError("a system's indptr, cols, vals and b must be 1-D arrays")
+        indptr, cols, m = self.indptr, self.cols, self.b.size
+        if self.num_vars < 1:
+            raise RelaxationError(f"a system needs a variable, got num_vars = {self.num_vars}")
+        if indptr.dtype.kind != "i" or cols.dtype.kind != "i":
+            raise RelaxationError("indptr and cols must hold signed integers")
+        if (indptr.size != m + 1 or indptr[0] != 0 or indptr[-1] != cols.size
+                or self.vals.size != cols.size or (indptr[1:] < indptr[:-1]).any()):
+            raise RelaxationError(f"indptr must rise from 0 to the {cols.size} entries of cols, "
+                                  f"one step per row of b ({m}), and vals hold one per entry")
+        step = cols[1:] - cols[:-1]  # each entry's column over the one before it
+        starts = indptr[1:-1]
+        step[starts[(starts > 0) & (starts < cols.size)] - 1] = 1  # where a row starts
+        if (cols.min(initial=0) < 0 or cols.max(initial=-1) >= self.num_vars
+                or step.min(initial=1) < 1):
+            raise RelaxationError(f"cols must lie in [0, {self.num_vars}) and increase "
+                                  "strictly within each row")
+        if not (np.isfinite(self.vals).all() and np.isfinite(self.b).all()):
+            raise RelaxationError("vals and b must be finite")
+        for a in arrays:
             a.flags.writeable = False
-        if self.blocks is None:
-            ends = self.indptr.tolist()
-            self.blocks = tuple((slice(i, i + 1), self.cols[s:e][None], self.vals[s:e][:, None])
-                                for i, (s, e) in enumerate(zip(ends, ends[1:])))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The rows as the solver prices them, derived from the rows on first read.
+
+        A support is a run of consecutive rows over the same columns, cut
+        after each row whose vals repeat the run's last row: two equal checks
+        in a row stay two supports, as do a degree-1 check on x_0 and the box
+        rows of x_0 after it.  The supports whose rows hold the same d x p
+        signs, vals by column, share one block `(rows, supports, signs)`: the
+        activities of the rows `rows` of A (a slice where they are contiguous,
+        else their indices) are, support-major, `x[supports] @ signs`, with
+        `supports` k x d.  The blocks come in the order of their first rows,
+        and their arrays are read-only.  For a system `feldman_system` builds,
+        that is one block per check degree, and one for the box rows.
+        """
+        found = []
+        lengths = np.diff(self.indptr)
+        for d in np.flatnonzero(np.bincount(lengths)).tolist():
+            # the rows of d entries, their cols and vals one row each
+            rows = np.flatnonzero(lengths == d)
+            s, e = self.indptr[rows[0]], self.indptr[rows[-1] + 1]
+            if e - s == rows.size * d:  # their entries are contiguous
+                cols = self.cols[s:e].reshape(rows.size, d)
+                vals = self.vals[s:e].reshape(rows.size, d)
+            else:
+                at = self.indptr[rows][:, None] + np.arange(d)
+                cols, vals = self.cols[at], self.vals[at]
+            # the last row of each row's run of consecutive rows over the same columns
+            new = np.ones(rows.size, dtype=bool)
+            new[1:] = (np.diff(rows) > 1) | (cols[1:] != cols[:-1]).any(axis=1)
+            last = np.append(np.flatnonzero(new)[1:] - 1, rows.size - 1)[np.cumsum(new) - 1]
+            first = np.flatnonzero(np.r_[True, (vals == vals[last]).all(axis=1)[:-1]])
+            size = np.diff(first, append=rows.size)
+            for p in np.flatnonzero(np.bincount(size)).tolist():
+                starts = first[size == p]
+                signs = vals[starts[:, None] + np.arange(p)].reshape(starts.size, -1)
+                if (signs == signs[0]).all():
+                    groups = [starts]
+                else:  # by their signs' bytes, each group's supports in row order
+                    key = signs.view(np.dtype((np.void, signs.itemsize * signs.shape[1])))[:, 0]
+                    order = np.argsort(key, kind="stable")
+                    key = key[order]
+                    groups = np.split(starts[order], np.flatnonzero(key[1:] != key[:-1]) + 1)
+                for group in groups:
+                    found.append((rows[(group[:, None] + np.arange(p)).ravel()], cols[group],
+                                  np.ascontiguousarray(vals[group[0]:][:p].T)))
+        found.sort(key=lambda block: block[0][0])
+        blocks = []
+        for where, supports, signs in found:
+            if where[-1] - where[0] + 1 == where.size:
+                where = slice(int(where[0]), int(where[-1]) + 1)
+            for a in (where, supports, signs):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            blocks.append((where, supports, signs))
+        return tuple(blocks)
 
     @property
     def rows(self) -> Sequence[Row]:
@@ -108,23 +176,18 @@ class ConstraintCounts:
 
 
 @lru_cache(maxsize=64)
-def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only signs (+1 on S, -1 elsewhere) and rhs |S|-1 of a degree-d check,
     one row per odd subset S of its d positions, ascending size then
-    lexicographic; then the signs again, transposed and contiguous, for pricing."""
+    lexicographic."""
     signs = np.full((2 ** (d - 1), d), -1.0)
     subsets = (S for k in range(1, d + 1, 2) for S in itertools.combinations(range(d), k))
     for r, positions in enumerate(subsets):
         signs[r, positions] = 1.0
     rhs = (signs > 0).sum(axis=1) - 1.0
-    by_position = np.ascontiguousarray(signs.T)
-    for a in (signs, rhs, by_position):
+    for a in (signs, rhs):
         a.flags.writeable = False
-    return signs, rhs, by_position
-
-
-_BOX_SIGNS = np.array([[-1.0, 1.0]])  # a variable's box rows -x_i <= 0 and x_i <= 1
-_BOX_SIGNS.flags.writeable = False
+    return signs, rhs
 
 
 def feldman_system(H: ParityCheckMatrix, include_boxes: bool = False) -> ConstraintSystem:
@@ -149,42 +212,22 @@ def _odd_subset_system(H: ParityCheckMatrix, include_boxes: bool, name: str) -> 
     cols = np.empty(entries, dtype=np.intp)
     vals = np.empty(entries)
     b = np.empty(indptr.size - 1)
-    # the runs of consecutive checks of one degree, by degree: each run's
-    # first check, length, first row and first entry
-    runs: dict[int, list[tuple[int, int, int, int]]] = {}
+    # each run of consecutive checks of one degree fills consecutive rows, each
+    # holding its check's whole support, in column order, under the degree's signs
     i = row = at = 0
     for d, run in itertools.groupby(degrees):
         k = len(list(run))
-        runs.setdefault(d, []).append((i, k, row, at))
-        i, row, at = i + k, row + (k << (d - 1)), at + d * (k << (d - 1))
-    blocks = []
-    for d, their in runs.items():
-        signs, rhs, by_position = _check_pattern(d)
-        supports = np.array([H.rows[j] for i, k, _, _ in their for j in range(i, i + k)],
-                            dtype=np.intp)
-        supports.flags.writeable = False
-        # a run fills consecutive rows, each holding its check's whole support,
-        # in column order, under the degree's signs
-        s = 0
-        for _, k, r, e in their:
-            b[r:r + k * rhs.size].reshape(k, -1)[:] = rhs
-            cols[e:e + k * signs.size].reshape(k, *signs.shape)[:] = supports[s:s + k, None]
-            vals[e:e + k * signs.size].reshape(k, *signs.shape)[:] = signs
-            s += k
-        if len(their) == 1:
-            rows = slice(their[0][2], their[0][2] + s * rhs.size)
-        else:
-            rows = np.concatenate([np.arange(r, r + k * rhs.size) for _, k, r, _ in their])
-            rows.flags.writeable = False
-        blocks.append((rows, supports, by_position))
+        signs, rhs = _check_pattern(d)
+        b[row:row + k * rhs.size].reshape(k, -1)[:] = rhs
+        cols[at:at + k * signs.size].reshape(k, *signs.shape)[:] = \
+            np.array(H.rows[i:i + k], dtype=np.intp)[:, None]
+        vals[at:at + k * signs.size].reshape(k, *signs.shape)[:] = signs
+        i, row, at = i + k, row + k * rhs.size, at + k * signs.size
     if include_boxes:
         cols[at:].reshape(-1, 2)[:] = np.arange(H.n)[:, None]
         vals[at:].reshape(-1, 2)[:] = -1.0, 1.0
         b[row:].reshape(-1, 2)[:] = 0.0, 1.0
-        supports = np.arange(H.n)[:, None]
-        supports.flags.writeable = False
-        blocks.append((slice(row, row + boxes), supports, _BOX_SIGNS))
-    return ConstraintSystem(H.n, indptr, cols, vals, b, tuple(blocks))
+    return ConstraintSystem(H.n, indptr, cols, vals, b)
 
 
 def _chains(supports, next_aux: int):
@@ -302,7 +345,7 @@ class ChainCrash:
                 or n > cs.num_vars or rows.min(initial=0) < 0 or rows.max(initial=-1) >= m):
             raise RelaxationError(f"crash table index out of range for {cs.num_vars} "
                                   f"variables and {m} rows")
-        signs, rhs, _ = _check_pattern(3)
+        signs, rhs = _check_pattern(3)
         at = cs.indptr[rows][..., None] + np.arange(3)
         if ((np.delete(np.diff(support), self.first[1:] - 1) <= 0).any()
                 or (np.diff(cs.indptr)[rows] != 3).any() or (cs.cols[at] != self._tcols).any()

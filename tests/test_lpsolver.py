@@ -283,6 +283,20 @@ class TestSharedArrays:
         assert np.array_equal(first.point, second.point)
         assert all(np.array_equal(v, v0) for v, v0 in zip(stored(cs), before))
 
+    @pytest.mark.parametrize("formulation", ["feldman", "decomposed"])
+    def test_csr_copy_solves_like_the_built_system(self, formulation):
+        # a system handed over as its rows derives the built system's blocks,
+        # so it takes the same pivots to the same point and objective bits
+        H = builtin_code("ldpc-48-24")
+        for t in range(10):
+            lp = build_program(H, sample_gamma(H.n, 5, t), formulation)
+            cs = lp.constraints
+            copy = ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b)
+            got = [solve(p) for p in (lp, dataclasses.replace(lp, constraints=copy))]
+            assert got[0].iterations == got[1].iterations > 0
+            assert got[0].point.tolist() == got[1].point.tolist()
+            assert got[0].objective_value.hex() == got[1].objective_value.hex()
+
 
 class TestPinnedResults:
     # pivots and objective bits of three AWGN decoding LPs per code, as the
@@ -711,7 +725,7 @@ class TestCrash:
     def test_crash_table_of_another_system(self, lp):
         # the table is checked again against any other system a solve hands it
         cs = lp.constraints
-        same = ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b, cs.blocks)
+        same = ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b)
         assert solve(dataclasses.replace(lp, constraints=same)).point.tolist() == \
             solve(lp).point.tolist()
         r = lp.crash.rows[0, 0, 0]

@@ -212,9 +212,9 @@ class TestArrayBuilder:
         inter = systems[3]
         assert any(isinstance(rows, np.ndarray) for rows, _, _ in inter.blocks)
         for cs in systems:
-            # the same arrays given straight, with one block per row
+            # the same arrays given straight derive the same blocks
             csr = relaxation.ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b)
-            assert len(csr.blocks) == cs.b.size
+            assert_same_blocks(csr.blocks, cs.blocks)
             for system in (cs, csr):
                 assert_blocks_expand(system)
         for H, cs in zip(codes, systems):
@@ -236,6 +236,48 @@ class TestArrayBuilder:
         assert rows.shape == (20 * 16,) and not rows.flags.writeable
         assert rows[:16].tolist() == list(range(16))
         assert rows[16:32].tolist() == list(range(16 + 32 + 64, 16 + 32 + 64 + 16))
+
+    def test_repeated_and_duplicate_supports(self):
+        # two equal checks in a row stay two supports, of one block; so do
+        # two equal rows, and a degree-1 check on x_0 stays apart from x_0's box rows
+        H = ParityCheckMatrix(n=4, rows=((0, 1, 2), (0, 1, 2), (1, 3), (0, 1, 2), (0,), (0,)))
+        cs = feldman_system(H, include_boxes=True)
+        blocks = cs.blocks
+        assert [rows if isinstance(rows, slice) else rows.tolist() for rows, _, _ in blocks] == [
+            [0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13], slice(8, 10), slice(14, 16),
+            slice(16, 24)]
+        assert blocks[0][1].tolist() == [[0, 1, 2]] * 3
+        assert blocks[2][1].tolist() == [[0], [0]] and blocks[2][2].tolist() == [[1.0]]
+        assert blocks[3][1].tolist() == [[0], [1], [2], [3]]
+        assert blocks[3][2].tolist() == [[-1.0, 1.0]]
+        csr = relaxation.ConstraintSystem(cs.num_vars, cs.indptr, cs.cols, cs.vals, cs.b)
+        assert_same_blocks(csr.blocks, blocks)
+        assert_blocks_expand(cs)
+        # rows as given: x0 + x1 <= 1 twice, 2 x2 <= 1, an empty row, x0 - x1 <= 0
+        # and x0 + x1 <= 1 (one support of two rows), 3 x2 <= 2, x0 + x1 <= 1, 2 x2 <= 1
+        cs = relaxation.ConstraintSystem(
+            3, np.array([0, 2, 4, 5, 5, 7, 9, 10, 12, 13]),
+            np.array([0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 0, 1, 2]),
+            np.array([1.0, 1, 1, 1, 2, 1, -1, 1, 1, 3, 1, 1, 2]),
+            np.array([1.0, 1, 1, 0.5, 0, 1, 2, 1, 1]))
+        assert [(rows if isinstance(rows, slice) else rows.tolist(), supports.tolist(),
+                 signs.tolist()) for rows, supports, signs in cs.blocks] == [
+            ([0, 1, 7], [[0, 1]] * 3, [[1.0], [1.0]]),
+            ([2, 8], [[2], [2]], [[2.0]]),
+            (slice(3, 4), [[]], []),
+            (slice(4, 6), [[0, 1]], [[1.0, 1.0], [-1.0, 1.0]]),
+            (slice(6, 7), [[2]], [[3.0]])]
+        assert_blocks_expand(cs)
+
+
+def assert_same_blocks(blocks, expected):
+    """Two systems' blocks agree array for array, a slice where the other has one."""
+    assert len(blocks) == len(expected)
+    for block, other in zip(blocks, expected):
+        for a, e in zip(block, other):
+            assert type(a) is type(e)
+            assert a == e if isinstance(a, slice) else (
+                a.dtype == e.dtype and np.array_equal(a, e) and a.shape == e.shape)
 
 
 def assert_blocks_expand(cs):
@@ -264,6 +306,59 @@ def assert_blocks_expand(cs):
         for rows, supports, signs in cs.blocks:
             activity[rows] = (x[supports] @ signs).ravel()
         assert np.array_equal(activity, A @ x)
+
+
+class TestMalformedSystem:
+    @staticmethod
+    def system(num_vars=2, indptr=(0, 2), cols=(0, 1), vals=(1.0, -1.0), b=(0.0,)):
+        return relaxation.ConstraintSystem(
+            num_vars, np.array(indptr, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=float), np.array(b, dtype=float))
+
+    def test_well_formed(self):
+        cs = self.system()
+        sol = lpsolver.solve(lpsolver.LinearProgram([1.0, -1.0], cs))
+        assert sol.status == "optimal" and sol.point.tolist() == [0.0, 1.0]
+        assert all(not v.flags.writeable for v in (cs.indptr, cs.cols, cs.vals, cs.b))
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"b": [np.nan]}, "finite"),
+        ({"b": [-np.inf]}, "finite"),
+        ({"vals": [1.0, np.nan]}, "finite"),
+        ({"indptr": [0, 3]}, "indptr"),
+        ({"num_vars": 0}, "variable"),
+        ({"cols": [0, 2]}, "cols"),
+        ({"cols": [-1, 1]}, "cols"),
+        ({"cols": [1, 0]}, "cols"),
+        ({"cols": [1, 1]}, "cols"),
+        ({"indptr": [1, 2]}, "indptr"),
+        ({"indptr": [0, 2, 1, 2], "b": [0.0, 0.0, 0.0]}, "indptr"),
+        ({"indptr": [0, 2, 2]}, "indptr"),
+        ({"vals": [1.0]}, "indptr"),
+    ], ids=["nan-rhs", "minus-infinite-rhs", "nan-value", "indptr-past-cols", "no-variables",
+            "column-past-variables", "negative-column", "columns-decreasing", "column-repeated",
+            "indptr-not-from-0", "indptr-decreasing", "indptr-longer-than-b",
+            "vals-shorter-than-cols"])
+    def test_refused(self, changes, match):
+        with pytest.raises(RelaxationError, match=match):
+            self.system(**changes)
+
+    def test_columns_restart_at_each_row(self):
+        # cols rise within a row, not across rows, and a row may be empty
+        cs = self.system(indptr=(0, 2, 2, 3), cols=(0, 1, 0), vals=(1.0, 1.0, 1.0),
+                         b=(1.0, 0.0, 1.0))
+        assert cs.b.size == 3
+
+    def test_not_integer_arrays(self):
+        with pytest.raises(RelaxationError, match="1-D arrays"):
+            relaxation.ConstraintSystem(1, [0, 1], np.array([0]), np.array([1.0]),
+                                        np.array([0.0]))
+        with pytest.raises(RelaxationError, match="1-D arrays"):
+            self.system(b=[[0.0]])
+        for indptr, cols in (([0.0, 1.0], [0]), ([0, 1], [0.0]), ([0, 1], [np.uint8(0)])):
+            with pytest.raises(RelaxationError, match="signed integers"):
+                relaxation.ConstraintSystem(1, np.array(indptr), np.array(cols),
+                                            np.array([1.0]), np.array([0.0]))
 
 
 class TestChainCrash:
